@@ -78,60 +78,49 @@ int main(int argc, char** argv) {
   std::cout << "(slots stay flat — reliability is a transport concern; the "
                "price of loss is retransmission traffic and time)\n";
 
-  // Robustness tax under correlated (Gilbert–Elliott) loss: the legacy
-  // fixed-timer transport vs the adaptive one, at matched burst intensity.
-  // The fixed tuning provisions its round window for the worst-case burst
-  // budget on every inner round; the adaptive one pays with backoff and
-  // probing only where bursts actually bite.
+  // Robustness tax under correlated (Gilbert–Elliott) loss: the transport
+  // pays with backoff and probing only where bursts actually bite.
   const std::vector<double> burst_rates = {0.0, 0.1, 0.2, 0.3};
-  TextTable burst_table({"scheduler", "tuning", "bp", "messages",
-                         "retransmits", "time", "suspicions"});
+  TextTable burst_table({"scheduler", "bp", "messages", "retransmits", "time",
+                         "suspicions"});
   for (const SchedulerKind kind :
        {SchedulerKind::kDistMisGbg, SchedulerKind::kDfs}) {
-    for (const TransportTuning tuning :
-         {TransportTuning::kFixed, TransportTuning::kAdaptive}) {
-      for (const double burst : burst_rates) {
-        Summary messages, retransmits, time, suspicions;
-        for (std::size_t trial = 0; trial < trials; ++trial) {
-          Rng rng(base_seed + trial);
-          Graph graph = generate_gnm(nodes, edges, rng);
-          while (kind == SchedulerKind::kDfs && !is_connected(graph))
-            graph = generate_gnm(nodes, edges, rng);
+    for (const double burst : burst_rates) {
+      Summary messages, retransmits, time, suspicions;
+      for (std::size_t trial = 0; trial < trials; ++trial) {
+        Rng rng(base_seed + trial);
+        Graph graph = generate_gnm(nodes, edges, rng);
+        while (kind == SchedulerKind::kDfs && !is_connected(graph))
+          graph = generate_gnm(nodes, edges, rng);
 
-          FaultSpec spec;
-          spec.seed = base_seed + 100 * trial + 13;
-          spec.burst_rate = burst;
-          spec.burst_recover = 0.25;
-          spec.burst_loss = 0.9;
-          const ScheduleResult result =
-              run_scheduler_faulted(kind, graph, base_seed + trial, spec,
-                                    /*reliable=*/true, tuning);
-          FDLSP_REQUIRE(result.completed,
-                        "hardened run must reach quiescence");
-          FDLSP_REQUIRE(
-              is_feasible_schedule(ArcView(graph), result.coloring),
-              "hardened run must stay feasible");
-          messages.add(static_cast<double>(result.messages));
-          retransmits.add(static_cast<double>(result.transport.retransmits));
-          time.add(kind == SchedulerKind::kDfs
-                       ? result.async_time
-                       : static_cast<double>(result.rounds));
-          suspicions.add(static_cast<double>(result.transport.suspicions));
-        }
-        burst_table.add_row(
-            {scheduler_name(kind),
-             tuning == TransportTuning::kFixed ? "fixed" : "adaptive",
-             fmt_double(burst, 2), fmt_double(messages.mean(), 0),
-             fmt_double(retransmits.mean(), 0), fmt_double(time.mean(), 0),
-             fmt_double(suspicions.mean(), 1)});
+        FaultSpec spec;
+        spec.seed = base_seed + 100 * trial + 13;
+        spec.burst_rate = burst;
+        spec.burst_recover = 0.25;
+        spec.burst_loss = 0.9;
+        const ScheduleResult result = run_scheduler_faulted(
+            kind, graph, base_seed + trial, spec, /*reliable=*/true);
+        FDLSP_REQUIRE(result.completed, "hardened run must reach quiescence");
+        FDLSP_REQUIRE(
+            is_feasible_schedule(ArcView(graph), result.coloring),
+            "hardened run must stay feasible");
+        messages.add(static_cast<double>(result.messages));
+        retransmits.add(static_cast<double>(result.transport.retransmits));
+        time.add(kind == SchedulerKind::kDfs
+                     ? result.async_time
+                     : static_cast<double>(result.rounds));
+        suspicions.add(static_cast<double>(result.transport.suspicions));
       }
+      burst_table.add_row(
+          {scheduler_name(kind), fmt_double(burst, 2),
+           fmt_double(messages.mean(), 0), fmt_double(retransmits.mean(), 0),
+           fmt_double(time.mean(), 0), fmt_double(suspicions.mean(), 1)});
     }
   }
-  std::cout << "\n== Robustness tax: fixed vs adaptive transport under "
+  std::cout << "\n== Robustness tax: reliable transport under "
             << "Gilbert-Elliott bursts (bq=0.25, bloss=0.9) ==\n";
   burst_table.print(std::cout);
-  std::cout << "(the adaptive transport trades the fixed tuning's blanket "
-               "retransmissions for backoff, probes, and transient "
-               "suspicion)\n";
+  std::cout << "(bursts cost backoff and retransmissions; bounded burst loss "
+               "alone never trips the failure detector)\n";
   return 0;
 }

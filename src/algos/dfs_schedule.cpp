@@ -274,12 +274,7 @@ ScheduleResult run_dfs_schedule(const Graph& graph, const DfsOptions& options) {
     programs.push_back(std::make_unique<DfsProgram>(view, v, v == root));
   const FaultSpec spec = options.faults != nullptr ? *options.faults
                                                    : FaultSpec{};
-  if (options.reliable) {
-    for (auto& program : programs)
-      program = std::make_unique<ReliableAsyncProgram>(std::move(program),
-                                                       spec,
-                                                       options.transport);
-  }
+  if (options.reliable) wrap_reliable(programs, spec);
   AsyncEngine engine(graph, std::move(programs), options.delay_model,
                      options.seed);
   engine.set_trace(options.trace);
@@ -310,13 +305,6 @@ ScheduleResult run_dfs_schedule(const Graph& graph, const DfsOptions& options) {
   result.coloring = ArcColoring(view.num_arcs());
   for (NodeId v = 0; v < graph.num_nodes(); ++v) {
     const AsyncProgram& top = engine.program(v);
-    if (options.reliable) {
-      const auto& wrapper = static_cast<const ReliableAsyncProgram&>(top);
-      result.transport.merge(wrapper.transport_stats());
-      result.suspected.insert(result.suspected.end(),
-                              wrapper.suspected_peers().begin(),
-                              wrapper.suspected_peers().end());
-    }
     const auto& program =
         options.reliable
             ? static_cast<const DfsProgram&>(
@@ -331,10 +319,9 @@ ScheduleResult run_dfs_schedule(const Graph& graph, const DfsOptions& options) {
   }
   if (!relaxed)
     FDLSP_REQUIRE(result.coloring.complete(), "DFS left arcs uncolored");
-  std::sort(result.suspected.begin(), result.suspected.end());
-  result.suspected.erase(
-      std::unique(result.suspected.begin(), result.suspected.end()),
-      result.suspected.end());
+  if (options.reliable)
+    collect_transport(engine, graph.num_nodes(), result.transport,
+                      &result.suspected);
   result.num_slots = result.coloring.num_colors_used();
   result.messages = metrics.messages;
   result.async_time = metrics.completion_time;

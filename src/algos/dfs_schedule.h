@@ -42,9 +42,6 @@ struct DfsOptions {
   const FaultSpec* faults = nullptr;
   /// Harden every node with the ack/retransmit wrapper (sim/reliable.h).
   bool reliable = false;
-  /// Transport generation for the reliable wrapper (see sim/reliable.h);
-  /// meaningless without `reliable`.
-  TransportTuning transport = TransportTuning::kAdaptive;
   /// Shard count of the asynchronous engine (AsyncEngine::set_shards; byte-
   /// identical to serial for any value). 0 picks the serial path.
   std::size_t shards = 0;

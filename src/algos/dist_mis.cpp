@@ -419,10 +419,8 @@ ScheduleResult run_dist_mis(const Graph& graph,
     std::vector<std::unique_ptr<SyncProgram>> programs;
     programs.reserve(graph.num_nodes());
     for (NodeId v = 0; v < graph.num_nodes(); ++v)
-      programs.push_back(std::make_unique<ReliableSyncProgram>(
-          std::make_unique<SetNodeProgram>(set, v), spec, options.transport));
-    round_budget *=
-        ReliableSyncProgram::round_dilation(spec, options.transport);
+      programs.push_back(std::make_unique<SetNodeProgram>(set, v));
+    round_budget *= wrap_reliable(programs, spec);
     engine.emplace(graph, std::move(programs));
   } else {
     engine.emplace(graph, set);
@@ -474,20 +472,9 @@ ScheduleResult run_dist_mis(const Graph& graph,
   result.num_slots = result.coloring.num_colors_used();
   result.rounds = metrics.rounds;
   result.messages = metrics.messages;
-  if (options.reliable) {
-    for (NodeId v = 0; v < graph.num_nodes(); ++v) {
-      const auto& wrapper =
-          static_cast<const ReliableSyncProgram&>(engine->program(v));
-      result.transport.merge(wrapper.transport_stats());
-      result.suspected.insert(result.suspected.end(),
-                              wrapper.suspected_peers().begin(),
-                              wrapper.suspected_peers().end());
-    }
-    std::sort(result.suspected.begin(), result.suspected.end());
-    result.suspected.erase(
-        std::unique(result.suspected.begin(), result.suspected.end()),
-        result.suspected.end());
-  }
+  if (options.reliable)
+    collect_transport(*engine, graph.num_nodes(), result.transport,
+                      &result.suspected);
   return result;
 }
 
@@ -502,15 +489,10 @@ ScheduleResult run_dist_mis_async(const Graph& graph,
       options.faults != nullptr ? *options.faults : FaultSpec{};
   std::vector<std::unique_ptr<AsyncProgram>> programs;
   programs.reserve(graph.num_nodes());
-  for (NodeId v = 0; v < graph.num_nodes(); ++v) {
-    auto node =
-        std::make_unique<SyncOverAsyncProgram>(graph, set, v, coordinator);
-    if (options.reliable)
-      programs.push_back(std::make_unique<ReliableAsyncProgram>(
-          std::move(node), spec, options.transport));
-    else
-      programs.push_back(std::move(node));
-  }
+  for (NodeId v = 0; v < graph.num_nodes(); ++v)
+    programs.push_back(
+        std::make_unique<SyncOverAsyncProgram>(graph, set, v, coordinator));
+  if (options.reliable) wrap_reliable(programs, spec);
   AsyncEngine engine(
       graph, std::move(programs),
       make_delay_schedule(options.delay_model, options.delay_seed));
@@ -553,20 +535,9 @@ ScheduleResult run_dist_mis_async(const Graph& graph,
   result.messages = metrics.messages;
   result.async_time = async_metrics.completion_time;
   result.stall_diagnosis = async_metrics.stall_diagnosis;
-  if (options.reliable) {
-    for (NodeId v = 0; v < graph.num_nodes(); ++v) {
-      const auto& wrapper =
-          static_cast<const ReliableAsyncProgram&>(engine.program(v));
-      result.transport.merge(wrapper.transport_stats());
-      result.suspected.insert(result.suspected.end(),
-                              wrapper.suspected_peers().begin(),
-                              wrapper.suspected_peers().end());
-    }
-    std::sort(result.suspected.begin(), result.suspected.end());
-    result.suspected.erase(
-        std::unique(result.suspected.begin(), result.suspected.end()),
-        result.suspected.end());
-  }
+  if (options.reliable)
+    collect_transport(engine, graph.num_nodes(), result.transport,
+                      &result.suspected);
   return result;
 }
 

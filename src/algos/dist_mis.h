@@ -63,9 +63,6 @@ struct DistMisOptions {
   /// preserves the feasibility guarantee under lossy plans at a round cost
   /// of ReliableSyncProgram::round_dilation(*faults) per algorithm round.
   bool reliable = false;
-  /// Transport generation for the reliable wrapper (see sim/reliable.h);
-  /// meaningless without `reliable`.
-  TransportTuning transport = TransportTuning::kAdaptive;
   /// Shard engine state and rounds across this pool (see
   /// SyncEngine::set_thread_pool; byte-identical to the serial run for any
   /// thread or shard count). Not owned, may be null. Ignored — serial
@@ -106,7 +103,6 @@ struct AsyncDistMisOptions {
   /// (sim/reliable.h), restoring exactly-once FIFO delivery under message
   /// faults.
   bool reliable = false;
-  TransportTuning transport = TransportTuning::kAdaptive;
   /// Shard count of the asynchronous engine (AsyncEngine::set_shards; byte-
   /// identical to serial for any value). 0 picks the serial path.
   std::size_t shards = 0;

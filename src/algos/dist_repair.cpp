@@ -307,8 +307,7 @@ DistRepairResult run_distributed_repair(const Graph& graph,
                                         const FaultSpec* faults,
                                         bool reliable,
                                         ThreadPool* pool,
-                                        std::size_t shards,
-                                        TransportTuning transport) {
+                                        std::size_t shards) {
   const ArcView view(graph);
   FDLSP_REQUIRE(stale.num_arcs() == view.num_arcs(),
                 "stale coloring does not match graph");
@@ -320,12 +319,7 @@ DistRepairResult run_distributed_repair(const Graph& graph,
         std::make_unique<DistRepairProgram>(view, v, stale, seeder()));
   const FaultSpec spec = faults != nullptr ? *faults : FaultSpec{};
   std::size_t round_budget = max_rounds;
-  if (reliable) {
-    for (auto& program : programs)
-      program = std::make_unique<ReliableSyncProgram>(std::move(program),
-                                                      spec, transport);
-    round_budget *= ReliableSyncProgram::round_dilation(spec, transport);
-  }
+  if (reliable) round_budget *= wrap_reliable(programs, spec);
   SyncEngine engine(graph, std::move(programs));
   engine.set_trace(trace);
   engine.set_thread_pool(pool);
@@ -350,9 +344,6 @@ DistRepairResult run_distributed_repair(const Graph& graph,
   result.coloring = ArcColoring(view.num_arcs());
   for (NodeId v = 0; v < graph.num_nodes(); ++v) {
     const SyncProgram& top = engine.program(v);
-    if (reliable)
-      result.transport.merge(
-          static_cast<const ReliableSyncProgram&>(top).transport_stats());
     const auto& program =
         reliable ? static_cast<const DistRepairProgram&>(
                        static_cast<const ReliableSyncProgram&>(top).inner())
@@ -367,6 +358,8 @@ DistRepairResult run_distributed_repair(const Graph& graph,
   }
   if (!relaxed)
     FDLSP_REQUIRE(result.coloring.complete(), "repair left arcs uncolored");
+  if (reliable)
+    collect_transport(engine, graph.num_nodes(), result.transport, nullptr);
   result.num_slots = result.coloring.num_colors_used();
   result.rounds = metrics.rounds;
   result.messages = metrics.messages;

@@ -60,13 +60,10 @@ struct DistRepairResult {
 /// `pool`, when non-null, shards engine state and rounds across its workers
 /// (see SyncEngine::set_thread_pool; byte-identical for any thread or shard
 /// count); `shards` optionally fixes the shard count (0 = pool-derived).
-/// `transport` selects the reliable wrapper's transport generation
-/// (sim/reliable.h); meaningless without `reliable`.
 DistRepairResult run_distributed_repair(
     const Graph& graph, const ArcColoring& stale, std::uint64_t seed = 1,
     std::size_t max_rounds = 1'000'000, SimTrace* trace = nullptr,
     const FaultSpec* faults = nullptr, bool reliable = false,
-    ThreadPool* pool = nullptr, std::size_t shards = 0,
-    TransportTuning transport = TransportTuning::kAdaptive);
+    ThreadPool* pool = nullptr, std::size_t shards = 0);
 
 }  // namespace fdlsp

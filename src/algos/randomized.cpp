@@ -299,10 +299,8 @@ ScheduleResult run_randomized(const Graph& graph,
     std::vector<std::unique_ptr<SyncProgram>> programs;
     programs.reserve(graph.num_nodes());
     for (NodeId v = 0; v < graph.num_nodes(); ++v)
-      programs.push_back(std::make_unique<ReliableSyncProgram>(
-          std::make_unique<SetNodeProgram>(set, v), spec, options.transport));
-    round_budget *=
-        ReliableSyncProgram::round_dilation(spec, options.transport);
+      programs.push_back(std::make_unique<SetNodeProgram>(set, v));
+    round_budget *= wrap_reliable(programs, spec);
     engine.emplace(graph, std::move(programs));
   } else {
     engine.emplace(graph, set);
@@ -338,14 +336,6 @@ ScheduleResult run_randomized(const Graph& graph,
   result.faults = metrics.faults;
   result.coloring = ArcColoring(set.num_arcs());
   for (NodeId v = 0; v < graph.num_nodes(); ++v) {
-    if (options.reliable) {
-      const auto& wrapper =
-          static_cast<const ReliableSyncProgram&>(engine->program(v));
-      result.transport.merge(wrapper.transport_stats());
-      result.suspected.insert(result.suspected.end(),
-                              wrapper.suspected_peers().begin(),
-                              wrapper.suspected_peers().end());
-    }
     for (const OutArc& out : set.out_arcs(v)) {
       if (!relaxed)
         FDLSP_REQUIRE(out.final, "unfinalized arc after completion");
@@ -355,10 +345,9 @@ ScheduleResult run_randomized(const Graph& graph,
   if (!relaxed)
     FDLSP_REQUIRE(result.coloring.complete(),
                   "randomized left arcs uncolored");
-  std::sort(result.suspected.begin(), result.suspected.end());
-  result.suspected.erase(
-      std::unique(result.suspected.begin(), result.suspected.end()),
-      result.suspected.end());
+  if (options.reliable)
+    collect_transport(*engine, graph.num_nodes(), result.transport,
+                      &result.suspected);
   result.num_slots = result.coloring.num_colors_used();
   result.rounds = metrics.rounds;
   result.messages = metrics.messages;

@@ -44,9 +44,6 @@ struct RandomizedOptions {
   const FaultSpec* faults = nullptr;
   /// Harden every node with the ack/retransmit wrapper (sim/reliable.h).
   bool reliable = false;
-  /// Transport generation for the reliable wrapper (see sim/reliable.h);
-  /// meaningless without `reliable`.
-  TransportTuning transport = TransportTuning::kAdaptive;
   /// Shard engine state and rounds across this pool (see
   /// SyncEngine::set_thread_pool; byte-identical to the serial run for any
   /// thread or shard count). Not owned, may be null. Ignored — serial

@@ -34,7 +34,6 @@ namespace {
 ScheduleResult dispatch(SchedulerKind kind, const Graph& graph,
                         std::uint64_t seed, SimTrace* trace,
                         const FaultSpec* faults, bool reliable,
-                        TransportTuning tuning = TransportTuning::kAdaptive,
                         ThreadPool* pool = nullptr, std::size_t shards = 0) {
   switch (kind) {
     case SchedulerKind::kDistMisGbg: {
@@ -44,7 +43,6 @@ ScheduleResult dispatch(SchedulerKind kind, const Graph& graph,
       options.trace = trace;
       options.faults = faults;
       options.reliable = reliable;
-      options.transport = tuning;
       options.pool = pool;
       options.shards = shards;
       return run_dist_mis(graph, options);
@@ -56,7 +54,6 @@ ScheduleResult dispatch(SchedulerKind kind, const Graph& graph,
       options.trace = trace;
       options.faults = faults;
       options.reliable = reliable;
-      options.transport = tuning;
       options.pool = pool;
       options.shards = shards;
       return run_dist_mis(graph, options);
@@ -67,7 +64,6 @@ ScheduleResult dispatch(SchedulerKind kind, const Graph& graph,
       options.trace = trace;
       options.faults = faults;
       options.reliable = reliable;
-      options.transport = tuning;
       options.shards = shards;
       return run_dfs_schedule(graph, options);
     }
@@ -86,7 +82,6 @@ ScheduleResult dispatch(SchedulerKind kind, const Graph& graph,
       options.trace = trace;
       options.faults = faults;
       options.reliable = reliable;
-      options.transport = tuning;
       options.pool = pool;
       options.shards = shards;
       return run_randomized(graph, options);
@@ -110,24 +105,22 @@ ScheduleResult run_scheduler_traced(SchedulerKind kind, const Graph& graph,
 
 ScheduleResult run_scheduler_parallel(SchedulerKind kind, const Graph& graph,
                                       std::uint64_t seed, ThreadPool& pool) {
-  return dispatch(kind, graph, seed, nullptr, nullptr, false,
-                  TransportTuning::kAdaptive, &pool);
+  return dispatch(kind, graph, seed, nullptr, nullptr, false, &pool);
 }
 
 ScheduleResult run_scheduler_sharded(SchedulerKind kind, const Graph& graph,
                                      std::uint64_t seed, ThreadPool& pool,
                                      std::size_t shards) {
-  return dispatch(kind, graph, seed, nullptr, nullptr, false,
-                  TransportTuning::kAdaptive, &pool, shards);
+  return dispatch(kind, graph, seed, nullptr, nullptr, false, &pool,
+                  shards);
 }
 
 ScheduleResult run_scheduler_faulted(SchedulerKind kind, const Graph& graph,
                                      std::uint64_t seed,
                                      const FaultSpec& faults, bool reliable,
-                                     TransportTuning tuning, SimTrace* trace,
-                                     std::size_t shards) {
-  return dispatch(kind, graph, seed, trace, &faults, reliable, tuning,
-                  nullptr, shards);
+                                     SimTrace* trace, std::size_t shards) {
+  return dispatch(kind, graph, seed, trace, &faults, reliable, nullptr,
+                  shards);
 }
 
 }  // namespace fdlsp

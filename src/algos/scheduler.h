@@ -85,9 +85,7 @@ ScheduleResult run_scheduler_sharded(SchedulerKind kind, const Graph& graph,
 /// Runs the algorithm under a deterministic fault model (sim/fault.h).
 /// `reliable` additionally hardens every node with the ack/retransmit
 /// wrapper (sim/reliable.h) — required for the run to keep its feasibility
-/// guarantee under lossy plans. `tuning` selects the transport generation
-/// (fixed-cadence legacy vs adaptive backoff + failure detection); it only
-/// matters with `reliable`. Centralized algorithms (D-MGC, greedy) have no
+/// guarantee under lossy plans. Centralized algorithms (D-MGC, greedy) have no
 /// engine and execute fault-free; their result is the clean one. `trace`
 /// may be null. `shards` replays the run on the sharded engine path
 /// (AsyncEngine::set_shards for DFS, SyncEngine::set_shards for the
@@ -95,8 +93,7 @@ ScheduleResult run_scheduler_sharded(SchedulerKind kind, const Graph& graph,
 /// for any value, so fault repro lines replay unchanged on either path.
 ScheduleResult run_scheduler_faulted(
     SchedulerKind kind, const Graph& graph, std::uint64_t seed,
-    const FaultSpec& faults, bool reliable,
-    TransportTuning tuning = TransportTuning::kAdaptive,
-    SimTrace* trace = nullptr, std::size_t shards = 0);
+    const FaultSpec& faults, bool reliable, SimTrace* trace = nullptr,
+    std::size_t shards = 0);
 
 }  // namespace fdlsp

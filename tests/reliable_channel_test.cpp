@@ -283,22 +283,5 @@ TEST(AdaptiveTransportTest, RecoveryAfterOutageRetrusts) {
   }
 }
 
-// The legacy fixed-timer tuning stays available behind the tuning knob and
-// still restores i.i.d. lossy runs (the bench harness compares the two).
-TEST(AdaptiveTransportTest, FixedTuningStillRestoresLossyRuns) {
-  const FaultSpec spec = lossy_spec();
-  for (const SchedulerKind kind :
-       {SchedulerKind::kDistMisGbg, SchedulerKind::kDfs}) {
-    const Graph graph = generate_grid(3, 3);
-    const ScheduleResult result = run_scheduler_faulted(
-        kind, graph, 5, spec, /*reliable=*/true, TransportTuning::kFixed);
-    EXPECT_TRUE(result.completed) << scheduler_name(kind);
-    EXPECT_GT(result.faults.dropped, 0u) << scheduler_name(kind);
-    const ArcView view(graph);
-    EXPECT_TRUE(is_feasible_schedule(view, result.coloring))
-        << scheduler_name(kind);
-  }
-}
-
 }  // namespace
 }  // namespace fdlsp
