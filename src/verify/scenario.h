@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "algos/scheduler.h"
@@ -64,6 +65,14 @@ inline std::string repro_command(const Scenario& scenario,
                                  SchedulerKind kind) {
   return repro_command(scenario, scheduler_name(kind));
 }
+
+/// Every flag examples/replay accepts when replaying a scheduler scenario:
+/// those repro_command() and fault_repro_command() print, plus replay's own
+/// --reliable, --prr-trace, --shards and --help. Any other flag is rejected,
+/// so a misspelled or retired flag cannot silently change the replayed run.
+inline constexpr std::string_view kReplayFlags[] = {
+    "family", "n",        "density",   "seed",   "scheduler",
+    "faults", "reliable", "prr-trace", "shards", "help"};
 
 /// Compact printable form of a graph ("n=4 edges=[(0,1),(1,2),(2,3)]") for
 /// embedding shrunk counterexamples in failure reports.

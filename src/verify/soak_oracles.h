@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 
 #include "sim/fault.h"
 #include "soak/driver.h"
@@ -110,5 +111,10 @@ std::string soak_repro_command(const SoakSpec& spec, const FaultSpec& faults,
                                bool reliable,
                                const SoakOracleOptions* oracle_options =
                                    nullptr);
+
+/// Every flag examples/replay accepts when replaying a soak stream: those
+/// soak_repro_command() prints, plus --distributed, --shards and --help.
+inline constexpr std::string_view kSoakReplayFlags[] = {
+    "soak", "soak-band", "faults", "reliable", "distributed", "shards", "help"};
 
 }  // namespace fdlsp

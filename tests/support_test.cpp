@@ -5,6 +5,8 @@
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <string_view>
 
 #include "support/check.h"
 #include "support/cli.h"
@@ -201,6 +203,53 @@ TEST(CliArgs, ParsesFlagsAndValues) {
 TEST(CliArgs, RejectsPositionalArguments) {
   const char* argv[] = {"prog", "oops"};
   EXPECT_THROW(CliArgs(2, argv), contract_error);
+}
+
+/// The contract_error message `body` raises, or "" when it does not throw.
+template <typename Body>
+std::string contract_message(Body body) {
+  try {
+    body();
+  } catch (const contract_error& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(CliArgs, RejectsPartialNumericParses) {
+  const char* argv[] = {"prog", "--shards=2x", "--rate=1.5x", "--n=",
+                        "--seed=-3", "--ok=12"};
+  const CliArgs args(6, argv);
+  EXPECT_NE(contract_message([&] { args.get_int("shards", 0); })
+                .find("--shards"),
+            std::string::npos);
+  EXPECT_NE(contract_message([&] { args.get_double("rate", 0.0); })
+                .find("--rate"),
+            std::string::npos);
+  EXPECT_THROW(args.get_int("n", 0), contract_error);
+  EXPECT_EQ(args.get_int("seed", 0), -3);
+  EXPECT_EQ(args.get_count("ok", 0), 12u);
+  EXPECT_DOUBLE_EQ(args.get_double("ok", 0.0), 12.0);
+}
+
+TEST(CliArgs, GetCountRejectsNegativeValues) {
+  const char* argv[] = {"prog", "--shards=-1"};
+  const CliArgs args(2, argv);
+  EXPECT_NE(contract_message([&] { args.get_count("shards", 0); })
+                .find("--shards"),
+            std::string::npos);
+  EXPECT_EQ(args.get_count("absent", 4), 4u);
+}
+
+TEST(CliArgs, RequireKnownNamesTheFirstUnknownFlag) {
+  const char* argv[] = {"prog", "--n=3", "--shard=4"};
+  const CliArgs args(3, argv);
+  constexpr std::string_view known[] = {"n", "shards"};
+  EXPECT_NE(contract_message([&] { args.require_known(known); })
+                .find("--shard"),
+            std::string::npos);
+  constexpr std::string_view wider[] = {"n", "shard"};
+  EXPECT_NO_THROW(args.require_known(wider));
 }
 
 TEST(ThreadPool, RunsAllTasks) {
