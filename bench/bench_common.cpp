@@ -10,10 +10,10 @@ FigureConfig parse_figure_args(int argc, const char* const* argv,
                                std::vector<SchedulerKind> kinds) {
   const CliArgs args(argc, argv);
   FigureConfig config;
-  config.run.kinds = std::move(kinds);
-  config.run.instances =
+  config.sweep.kinds = std::move(kinds);
+  config.sweep.instances =
       static_cast<std::size_t>(args.get_int("instances", 15));
-  config.run.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+  config.sweep.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   config.csv_path = args.get("csv", "");
   config.threads = static_cast<std::size_t>(args.get_int("threads", 0));
   return config;
@@ -37,8 +37,8 @@ int run_udg_slots_figure(const std::string& title, double side, int argc,
   ThreadPool pool(config.threads);
   std::vector<PointResult> points;
   for (const UdgPoint& point : udg_series(side))
-    points.push_back(run_udg_point(point, config.run, pool));
-  emit(config, title, slots_table(points, config.run.kinds));
+    points.push_back(run_udg_point(point, config.sweep, pool));
+  emit(config, title, slots_table(points, config.sweep.kinds));
   return 0;
 }
 
@@ -51,8 +51,8 @@ int run_general_slots_figure(const std::string& title, std::size_t nodes,
   ThreadPool pool(config.threads);
   std::vector<PointResult> points;
   for (const GeneralPoint& point : general_series(nodes))
-    points.push_back(run_general_point(point, config.run, pool));
-  emit(config, title, slots_table(points, config.run.kinds));
+    points.push_back(run_general_point(point, config.sweep, pool));
+  emit(config, title, slots_table(points, config.sweep.kinds));
   return 0;
 }
 
@@ -63,7 +63,7 @@ int run_general_rounds_figure(const std::string& title, std::size_t nodes,
   ThreadPool pool(config.threads);
   std::vector<PointResult> points;
   for (const GeneralPoint& point : general_series(nodes))
-    points.push_back(run_general_point(point, config.run, pool));
+    points.push_back(run_general_point(point, config.sweep, pool));
   emit(config, title,
        rounds_table(points, SchedulerKind::kDistMisGeneral));
   return 0;

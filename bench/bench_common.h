@@ -17,7 +17,7 @@ namespace fdlsp::bench {
 
 /// Configuration decoded from the command line.
 struct FigureConfig {
-  RunConfig run;
+  SweepConfig sweep;
   std::string csv_path;
   std::size_t threads = 0;
 };

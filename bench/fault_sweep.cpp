@@ -47,8 +47,9 @@ int main(int argc, char** argv) {
         FaultSpec spec;
         spec.seed = base_seed + 100 * trial + 7;
         spec.drop_rate = drop;
-        const ScheduleResult result = run_scheduler_faulted(
-            kind, graph, base_seed + trial, spec, /*reliable=*/true);
+        const ScheduleResult result =
+            run_scheduler(kind, graph, base_seed + trial,
+                          {.faults = &spec, .reliable = true});
         FDLSP_REQUIRE(result.completed, "hardened run must reach quiescence");
         FDLSP_REQUIRE(
             is_feasible_schedule(ArcView(graph), result.coloring),
@@ -98,8 +99,9 @@ int main(int argc, char** argv) {
         spec.burst_rate = burst;
         spec.burst_recover = 0.25;
         spec.burst_loss = 0.9;
-        const ScheduleResult result = run_scheduler_faulted(
-            kind, graph, base_seed + trial, spec, /*reliable=*/true);
+        const ScheduleResult result =
+            run_scheduler(kind, graph, base_seed + trial,
+                          {.faults = &spec, .reliable = true});
         FDLSP_REQUIRE(result.completed, "hardened run must reach quiescence");
         FDLSP_REQUIRE(
             is_feasible_schedule(ArcView(graph), result.coloring),

@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
     TextTable table({"side", "edges", "avg-degree", "rounds", "messages"});
     for (double side : {20.0, 17.0, 15.0, 12.0, 10.0}) {
       PointResult point = run_udg_point(
-          UdgPoint{nodes, side * kUdgUnitLength, 0.5}, config.run, pool);
+          UdgPoint{nodes, side * kUdgUnitLength, 0.5}, config.sweep, pool);
       const auto& agg = point.algorithms.at(SchedulerKind::kDistMisGbg);
       const double edges =
           point.avg_degree.mean() * static_cast<double>(nodes) / 2.0;

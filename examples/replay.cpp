@@ -30,25 +30,37 @@
 // the tool shrinks the stream and prints the minimized repro line.
 //
 // Each mode rejects flags outside its vocabulary (kReplayFlags,
-// kSoakReplayFlags) and numeric values that do not parse whole, so a
-// mistyped line fails instead of replaying a different run.
+// kSoakReplayFlags), flags the run would ignore (--reliable or --prr-trace
+// without --faults, --shards without an engine that shards), and numeric
+// values that do not parse whole, so a mistyped line fails instead of
+// replaying a different run.
 //
-// Either mode accepts --shards=N to replay on the sharded engine path
-// (AsyncEngine::set_shards for DFS fault repros, SyncEngine::set_shards for
-// the synchronizer-based schedulers and distributed soak repairs). Sharding
-// is byte-identical to serial for every count, so a repro line replays the
-// same verdict with the flag added or removed; the flag is echoed in the
-// printed repro lines so a sharded replay stays a one-line paste.
+// --shards=N replays a fault repro or a distributed soak on the sharded
+// engine path: N goes into the run's RunConfig (sim/run_config.h) together
+// with a ThreadPool replay owns, so DFS shards its asynchronous engine and
+// the other schedulers and every distributed soak repair shard the
+// synchronous one. Sharding is byte-identical to serial for every count, so
+// a repro line replays the same verdict with the flag added or removed; the
+// flag is echoed in the printed repro lines so a sharded replay stays a
+// one-line paste. An armed fault plan still forces both engines serial
+// (lifting that is the "sharded code under faults" item in ROADMAP.md), so
+// today the flag shards only --faults=none repros and fault-free
+// distributed soaks.
+#include <algorithm>
 #include <cstdint>
 #include <iostream>
+#include <optional>
 #include <string>
+#include <thread>
 
 #include "algos/scheduler.h"
 #include "exp/workloads.h"
 #include "graph/graph.h"
 #include "sim/fault.h"
+#include "sim/run_config.h"
 #include "support/check.h"
 #include "support/cli.h"
+#include "support/thread_pool.h"
 #include "verify/causality.h"
 #include "verify/differential.h"
 #include "verify/fault_oracles.h"
@@ -84,11 +96,24 @@ fdlsp::GraphFamily parse_family(const std::string& name) {
   return GraphFamily::kGnm;
 }
 
+/// Puts --shards=N into `run` together with a pool for the synchronous
+/// engine, owned by `pool`: one worker per shard, at most one per hardware
+/// thread. Without the flag `run` stays serial.
+void attach_shards(const fdlsp::CliArgs& args,
+                   std::optional<fdlsp::ThreadPool>& pool,
+                   fdlsp::RunConfig& run) {
+  run.shards = args.get_count("shards", 0);
+  if (run.shards == 0) return;
+  pool.emplace(std::min<std::size_t>(
+      run.shards, std::max(1u, std::thread::hardware_concurrency())));
+  run.pool = &*pool;
+}
+
 /// Replays a soak stream under the full oracle battery, shrinking any
 /// failure back down to a printable repro line.
 int run_soak_replay(const fdlsp::CliArgs& args) {
   using namespace fdlsp;
-  args.require_known(kSoakReplayFlags);
+  require_soak_replay_flags(args);
   const SoakSpec spec = parse_soak_spec(args.get("soak", "default"));
 
   SoakOptions driver_options;
@@ -103,14 +128,16 @@ int run_soak_replay(const fdlsp::CliArgs& args) {
   if (args.get_int("distributed", 0) != 0) driver_options.distributed = true;
   // Replays the stream's distributed repairs on the sharded engine path
   // (byte-identical to serial for any count, so the verdict is unchanged).
-  const std::size_t shards = args.get_count("shards", 0);
-  driver_options.shards = shards;
+  std::optional<ThreadPool> pool;
+  attach_shards(args, pool, driver_options);
 
   SoakOracleOptions oracle_options;
   oracle_options.drift_band = args.get_double("soak-band", 0.0);
 
   const std::string shards_flag =
-      shards > 0 ? " --shards=" + std::to_string(shards) : "";
+      driver_options.shards > 0
+          ? " --shards=" + std::to_string(driver_options.shards)
+          : "";
   std::cout << "soak: " << soak_repro_command(spec, &oracle_options)
             << shards_flag
             << (driver_options.distributed ? " (distributed engine)" : "")
@@ -179,7 +206,7 @@ int main(int argc, char** argv) {
       return args.has("help") ? 0 : 2;
     }
 
-    args.require_known(kReplayFlags);
+    require_replay_flags(args);
     Scenario scenario;
     scenario.family = parse_family(args.get("family", "gnm"));
     scenario.n = args.get_count("n", 8);
@@ -198,9 +225,11 @@ int main(int argc, char** argv) {
         spec.prr_levels = load_prr_levels(args.get("prr-trace", ""));
       const bool reliable = args.get_int("reliable", 1) != 0;
       // Replays on the sharded engine path (async for DFS, synchronous for
-      // the synchronizer-based schedulers) — byte-identical to serial for
-      // any count, so the verdict below is unchanged.
-      const std::size_t shards = args.get_count("shards", 0);
+      // the other schedulers) — byte-identical to serial for any count, so
+      // the verdict below is unchanged.
+      RunConfig run{.faults = &spec, .reliable = reliable};
+      std::optional<ThreadPool> pool;
+      attach_shards(args, pool, run);
       std::cout << "faults: " << format_fault_spec(spec)
                 << (reliable ? " (reliable wrapper on, adaptive transport)"
                              : " (reliable wrapper OFF)")
@@ -208,12 +237,12 @@ int main(int argc, char** argv) {
                 << "repro: "
                 << fault_repro_command(scenario, scheduler_name(kind), spec)
                 << (reliable ? "" : " --reliable=0")
-                << (shards > 0 ? " --shards=" + std::to_string(shards) : "")
+                << (run.shards > 0 ? " --shards=" + std::to_string(run.shards)
+                                   : "")
                 << "\n";
 
       const ScheduleResult faulted =
-          run_scheduler_faulted(kind, graph, scenario.seed, spec, reliable,
-                                nullptr, shards);
+          run_scheduler(kind, graph, scenario.seed, run);
       std::cout << scheduler_name(kind) << ": " << faulted.num_slots
                 << " slots, " << faulted.rounds << " rounds, "
                 << faulted.messages << " messages, "

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -10,6 +9,7 @@
 #include "graph/algorithms.h"
 #include "graph/arcs.h"
 #include "sim/reliable.h"
+#include "sim/run_config.h"
 #include "support/check.h"
 #include "support/flat_hash.h"
 
@@ -27,6 +27,9 @@ constexpr std::int32_t kTagAssign = 6;     // data: [arc, color, ...]
 constexpr std::int32_t kTagAck = 7;        // data: []
 constexpr std::int32_t kTagToken = 8;      // data: []
 constexpr std::int32_t kTagTokenBack = 9;  // data: []
+
+// Event budget of the asynchronous engine.
+constexpr std::size_t kMaxEvents = 50'000'000;
 
 class DfsProgram final : public AsyncProgram {
  public:
@@ -272,25 +275,17 @@ ScheduleResult run_dfs_schedule(const Graph& graph, const DfsOptions& options) {
   programs.reserve(graph.num_nodes());
   for (NodeId v = 0; v < graph.num_nodes(); ++v)
     programs.push_back(std::make_unique<DfsProgram>(view, v, v == root));
-  const FaultSpec spec = options.faults != nullptr ? *options.faults
-                                                   : FaultSpec{};
+  const FaultSpec spec = options.fault_spec();
   if (options.reliable) wrap_reliable(programs, spec);
   AsyncEngine engine(graph, std::move(programs), options.delay_model,
                      options.seed);
-  engine.set_trace(options.trace);
-  engine.set_shards(options.shards);
-  engine.set_alloc_audit(options.audit);
-  std::optional<FaultPlan> plan;
-  if (options.faults != nullptr && options.faults->any()) {
-    plan.emplace(spec, graph);
-    engine.set_fault_plan(&*plan);
-  }
-  const AsyncMetrics metrics = engine.run(options.max_messages);
+  const RunAttachment attached(engine, graph, options);
+  const AsyncMetrics metrics = engine.run(kMaxEvents);
   if (options.engine_metrics != nullptr) *options.engine_metrics = metrics;
   // See dist_mis.cpp: crash/churn plans and unhardened lossy runs report
   // their outcome for the fault oracles to judge instead of aborting.
   const bool relaxed =
-      plan.has_value() &&
+      attached.faulted() &&
       (spec.crash_fraction > 0.0 || spec.link_down_fraction > 0.0 ||
        !options.reliable);
   if (!relaxed) {

@@ -26,28 +26,15 @@
 
 namespace fdlsp {
 
-/// Tunables for a DFS run.
-struct DfsOptions {
+/// Tunables for a DFS run; the inherited RunConfig says how it executes.
+/// With crash/churn armed, or with losses and `reliable` off, the result's
+/// coloring may be partial — an unhardened DFS loses its token to the first
+/// dropped message. The asynchronous engine has no use for `pool`.
+struct DfsOptions : RunConfig {
   /// Root of the traversal; kNoNode selects the maximum-degree node.
   NodeId root = kNoNode;
   DelayModel delay_model = DelayModel::kUnit;
   std::uint64_t seed = 1;
-  std::size_t max_messages = 50'000'000;
-  /// Optional event observer (see sim/trace.h); not owned, may be null.
-  SimTrace* trace = nullptr;
-  /// Optional fault model (see sim/fault.h); not owned, may be null. With
-  /// crash/churn armed, or with losses and `reliable` off, the result's
-  /// coloring may be partial and `completed` false instead of aborting —
-  /// an unhardened DFS loses its token to the first dropped message.
-  const FaultSpec* faults = nullptr;
-  /// Harden every node with the ack/retransmit wrapper (sim/reliable.h).
-  bool reliable = false;
-  /// Shard count of the asynchronous engine (AsyncEngine::set_shards; byte-
-  /// identical to serial for any value). 0 picks the serial path.
-  std::size_t shards = 0;
-  /// Optional per-event allocation auditor (support/alloc_audit.h); not
-  /// owned, may be null. Does not force the serial path.
-  AllocAudit* audit = nullptr;
   /// When non-null, receives the asynchronous engine's own metrics (frame
   /// deliveries, timer events, completion time).
   AsyncMetrics* engine_metrics = nullptr;

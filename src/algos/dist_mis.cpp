@@ -11,6 +11,7 @@
 #include "graph/arcs.h"
 #include "sim/async_engine.h"
 #include "sim/reliable.h"
+#include "sim/run_config.h"
 #include "sim/shard.h"
 #include "sim/sync_engine.h"
 #include "sim/synchronizer.h"
@@ -404,14 +405,19 @@ class DistMisSet final : public SyncProgramSet {
   std::vector<ShardScratch> shards_;  // indexed by ctx.shard()
 };
 
+// Round budget of both runners, and event budget of the asynchronous
+// engine: frames, acks, retransmits and poll timers all count there, so it
+// is much larger than the round budget.
+constexpr std::size_t kMaxRounds = 1'000'000;
+constexpr std::size_t kMaxAsyncEvents = 200'000'000;
+
 }  // namespace
 
 ScheduleResult run_dist_mis(const Graph& graph,
                             const DistMisOptions& options) {
   DistMisSet set(graph, options.variant, options.seed);
-  const FaultSpec spec = options.faults != nullptr ? *options.faults
-                                                  : FaultSpec{};
-  std::size_t round_budget = options.max_rounds;
+  const FaultSpec spec = options.fault_spec();
+  std::size_t round_budget = kMaxRounds;
   std::optional<SyncEngine> engine;
   if (options.reliable) {
     // Hardened nodes need the per-node wrapper, so the set rides behind
@@ -425,21 +431,13 @@ ScheduleResult run_dist_mis(const Graph& graph,
   } else {
     engine.emplace(graph, set);
   }
-  engine->set_trace(options.trace);
-  engine->set_thread_pool(options.pool);
-  engine->set_alloc_audit(options.audit);
-  engine->set_shards(options.shards);
-  std::optional<FaultPlan> plan;
-  if (options.faults != nullptr && options.faults->any()) {
-    plan.emplace(spec, graph);
-    engine->set_fault_plan(&*plan);
-  }
+  const RunAttachment attached(*engine, graph, options);
   if (options.reliable) {
     // On this path the engine prepares the program set it drives — the
     // vector of reliable wrappers — so the underlying SoA set must be
     // prepared by hand, with the engine's own shard decision. This has to
-    // happen after every seam is configured: an attached fault plan or
-    // trace forces planned_shards() == 1.
+    // happen after the attachment: an attached fault plan or trace forces
+    // planned_shards() == 1.
     set.prepare_shards(engine->planned_shards());
   }
   const SyncMetrics metrics = engine->run(round_budget);
@@ -448,7 +446,7 @@ ScheduleResult run_dist_mis(const Graph& graph,
   // report what happened instead of aborting, and the fault oracles judge
   // the outcome.
   const bool relaxed =
-      plan.has_value() &&
+      attached.faulted() &&
       (spec.crash_fraction > 0.0 || spec.link_down_fraction > 0.0 ||
        !options.reliable);
   if (!relaxed)
@@ -484,9 +482,8 @@ ScheduleResult run_dist_mis_async(const Graph& graph,
   // External contexts always report shard 0 — the synchronizer's lockstep
   // serializes node callbacks regardless of the engine's shard count.
   set.prepare_shards(1);
-  RoundSynchronizer coordinator(set, options.max_rounds);
-  const FaultSpec spec =
-      options.faults != nullptr ? *options.faults : FaultSpec{};
+  RoundSynchronizer coordinator(set, kMaxRounds);
+  const FaultSpec spec = options.fault_spec();
   std::vector<std::unique_ptr<AsyncProgram>> programs;
   programs.reserve(graph.num_nodes());
   for (NodeId v = 0; v < graph.num_nodes(); ++v)
@@ -496,22 +493,15 @@ ScheduleResult run_dist_mis_async(const Graph& graph,
   AsyncEngine engine(
       graph, std::move(programs),
       make_delay_schedule(options.delay_model, options.delay_seed));
-  engine.set_trace(options.trace);
-  engine.set_alloc_audit(options.audit);
-  engine.set_shards(options.shards);
-  std::optional<FaultPlan> plan;
-  if (options.faults != nullptr && options.faults->any()) {
-    plan.emplace(spec, graph);
-    engine.set_fault_plan(&*plan);
-  }
-  const AsyncMetrics async_metrics = engine.run(options.max_messages);
+  const RunAttachment attached(engine, graph, options);
+  const AsyncMetrics async_metrics = engine.run(kMaxAsyncEvents);
   if (options.engine_metrics != nullptr)
     *options.engine_metrics = async_metrics;
   const SyncMetrics metrics = coordinator.metrics();
 
   // Message faults without the reliable wrapper lose frames and stall the
   // lockstep — such runs report what happened instead of aborting.
-  const bool relaxed = plan.has_value() && !options.reliable;
+  const bool relaxed = attached.faulted() && !options.reliable;
   if (!relaxed) {
     FDLSP_REQUIRE(async_metrics.completed && metrics.completed,
                   "async DistMIS did not complete in budget");

@@ -37,9 +37,6 @@
 
 namespace fdlsp {
 
-class AllocAudit;
-class SimTrace;
-class ThreadPool;
 struct AsyncMetrics;
 
 /// Which DistMIS variant to run.
@@ -48,33 +45,10 @@ enum class DistMisVariant {
   kGeneral,  ///< distance-2 competition, color outgoing arcs only
 };
 
-/// Tunables for a DistMIS run.
-struct DistMisOptions {
+/// Tunables for a DistMIS run; the inherited RunConfig says how it executes.
+struct DistMisOptions : RunConfig {
   DistMisVariant variant = DistMisVariant::kGbg;
   std::uint64_t seed = 1;
-  std::size_t max_rounds = 1'000'000;
-  /// Optional event observer (see sim/trace.h); not owned, may be null.
-  SimTrace* trace = nullptr;
-  /// Optional fault model (see sim/fault.h); not owned, may be null. With
-  /// crash/churn armed, or with losses and `reliable` off, the result's
-  /// coloring may be partial and `completed` false instead of aborting.
-  const FaultSpec* faults = nullptr;
-  /// Harden every node with the ack/retransmit wrapper (sim/reliable.h);
-  /// preserves the feasibility guarantee under lossy plans at a round cost
-  /// of ReliableSyncProgram::round_dilation(*faults) per algorithm round.
-  bool reliable = false;
-  /// Shard engine state and rounds across this pool (see
-  /// SyncEngine::set_thread_pool; byte-identical to the serial run for any
-  /// thread or shard count). Not owned, may be null. Ignored — serial
-  /// fallback — when trace/faults are attached.
-  ThreadPool* pool = nullptr;
-  /// Explicit shard count for pooled runs (SyncEngine::set_shards); 0
-  /// derives the count from the pool size. Meaningless without `pool`.
-  std::size_t shards = 0;
-  /// Optional per-round allocation auditor (support/alloc_audit.h); not
-  /// owned, may be null. Unlike trace/faults it never forces the serial
-  /// path — it only samples process-global allocation counters.
-  AllocAudit* audit = nullptr;
 };
 
 /// Runs DistMIS over the synchronous engine and returns the schedule plus
@@ -83,33 +57,17 @@ struct DistMisOptions {
 /// on internal protocol violations).
 ScheduleResult run_dist_mis(const Graph& graph, const DistMisOptions& options);
 
-/// Tunables for an asynchronous DistMIS run (see run_dist_mis_async).
-struct AsyncDistMisOptions {
+/// Tunables for an asynchronous DistMIS run (see run_dist_mis_async). The
+/// synchronizer needs reliable in-order frame delivery, so lossy fault
+/// plans additionally require `reliable`; crash/churn plans break lockstep
+/// and are unsupported on this path. The asynchronous engine has no use
+/// for `pool`.
+struct AsyncDistMisOptions : RunConfig {
   DistMisVariant variant = DistMisVariant::kGbg;
   std::uint64_t seed = 1;
   /// Delay model of the underlying asynchronous engine (sim/delay.h).
   DelayModel delay_model = DelayModel::kUnit;
   std::uint64_t delay_seed = 1;
-  std::size_t max_rounds = 1'000'000;
-  /// Event budget of the asynchronous engine. Frames, acks, retransmits and
-  /// poll timers all count, so this is much larger than the round budget.
-  std::size_t max_messages = 200'000'000;
-  /// Optional fault model (see sim/fault.h); not owned, may be null. The
-  /// synchronizer needs reliable in-order frame delivery, so lossy plans
-  /// additionally require `reliable`; crash/churn plans break lockstep and
-  /// are unsupported on this path.
-  const FaultSpec* faults = nullptr;
-  /// Harden every node with the async ack/retransmit wrapper
-  /// (sim/reliable.h), restoring exactly-once FIFO delivery under message
-  /// faults.
-  bool reliable = false;
-  /// Shard count of the asynchronous engine (AsyncEngine::set_shards; byte-
-  /// identical to serial for any value). 0 picks the serial path.
-  std::size_t shards = 0;
-  /// Optional event observer (sim/trace.h); forces the serial engine path.
-  SimTrace* trace = nullptr;
-  /// Optional per-event allocation auditor (support/alloc_audit.h).
-  AllocAudit* audit = nullptr;
   /// When non-null, receives the asynchronous engine's own metrics (frame
   /// deliveries, timer events, completion time) — the ScheduleResult's
   /// rounds/messages report the *synchronous* metrics, which match

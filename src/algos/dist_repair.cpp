@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <memory>
-#include <optional>
 #include <utility>
 #include <vector>
 
 #include "coloring/conflict.h"
 #include "graph/arcs.h"
 #include "sim/reliable.h"
+#include "sim/run_config.h"
 #include "sim/sync_engine.h"
 #include "support/check.h"
 #include "support/flat_hash.h"
@@ -26,6 +26,7 @@ constexpr std::int32_t kTagCompWin = 4;    // data: [origin, block, ttl, arc,
 
 constexpr std::size_t kFloodRadius = 2;
 constexpr std::size_t kBlockLength = 2 * kFloodRadius + 1;
+constexpr std::size_t kMaxRounds = 1'000'000;
 
 class DistRepairProgram final : public SyncProgram {
  public:
@@ -302,12 +303,7 @@ class DistRepairProgram final : public SyncProgram {
 DistRepairResult run_distributed_repair(const Graph& graph,
                                         const ArcColoring& stale,
                                         std::uint64_t seed,
-                                        std::size_t max_rounds,
-                                        SimTrace* trace,
-                                        const FaultSpec* faults,
-                                        bool reliable,
-                                        ThreadPool* pool,
-                                        std::size_t shards) {
+                                        const RunConfig& run) {
   const ArcView view(graph);
   FDLSP_REQUIRE(stale.num_arcs() == view.num_arcs(),
                 "stale coloring does not match graph");
@@ -317,24 +313,17 @@ DistRepairResult run_distributed_repair(const Graph& graph,
   for (NodeId v = 0; v < graph.num_nodes(); ++v)
     programs.push_back(
         std::make_unique<DistRepairProgram>(view, v, stale, seeder()));
-  const FaultSpec spec = faults != nullptr ? *faults : FaultSpec{};
-  std::size_t round_budget = max_rounds;
-  if (reliable) round_budget *= wrap_reliable(programs, spec);
+  std::size_t round_budget = kMaxRounds;
+  if (run.reliable)
+    round_budget *= wrap_reliable(programs, run.fault_spec());
   SyncEngine engine(graph, std::move(programs));
-  engine.set_trace(trace);
-  engine.set_thread_pool(pool);
-  engine.set_shards(shards);
-  std::optional<FaultPlan> plan;
-  if (faults != nullptr && faults->any()) {
-    plan.emplace(spec, graph);
-    engine.set_fault_plan(&*plan);
-  }
+  const RunAttachment attached(engine, graph, run);
   const SyncMetrics metrics = engine.run(round_budget);
   // See dist_mis.cpp: faulted runs report their outcome for the fault
   // oracles to judge instead of aborting. Repair under unhardened loss
   // terminates with stale knowledge — conflicting survivors included —
   // which is exactly the failing case the shrinker minimizes.
-  const bool relaxed = plan.has_value();
+  const bool relaxed = attached.faulted();
   if (!relaxed)
     FDLSP_REQUIRE(metrics.completed, "distributed repair did not complete");
 
@@ -345,9 +334,10 @@ DistRepairResult run_distributed_repair(const Graph& graph,
   for (NodeId v = 0; v < graph.num_nodes(); ++v) {
     const SyncProgram& top = engine.program(v);
     const auto& program =
-        reliable ? static_cast<const DistRepairProgram&>(
-                       static_cast<const ReliableSyncProgram&>(top).inner())
-                 : static_cast<const DistRepairProgram&>(top);
+        run.reliable
+            ? static_cast<const DistRepairProgram&>(
+                  static_cast<const ReliableSyncProgram&>(top).inner())
+            : static_cast<const DistRepairProgram&>(top);
     for (const auto& [arc, color] : program.surviving_colors()) {
       if (!relaxed)
         FDLSP_REQUIRE(!result.coloring.is_colored(arc),
@@ -358,7 +348,7 @@ DistRepairResult run_distributed_repair(const Graph& graph,
   }
   if (!relaxed)
     FDLSP_REQUIRE(result.coloring.complete(), "repair left arcs uncolored");
-  if (reliable)
+  if (run.reliable)
     collect_transport(engine, graph.num_nodes(), result.transport, nullptr);
   result.num_slots = result.coloring.num_colors_used();
   result.rounds = metrics.rounds;

@@ -28,9 +28,6 @@
 
 namespace fdlsp {
 
-class SimTrace;
-class ThreadPool;
-
 /// Result of a distributed repair run.
 struct DistRepairResult {
   ArcColoring coloring;            ///< complete, feasible
@@ -49,21 +46,16 @@ struct DistRepairResult {
 /// `graph`'s arcs — e.g. the output of transfer_coloring after churn) into
 /// a feasible complete schedule, distributedly.
 ///
-/// `faults` optionally runs the repair itself under a fault model (see
-/// sim/fault.h), with `reliable` hardening the messaging (sim/reliable.h).
-/// Under a fault plan the completeness/feasibility contract weakens the
-/// same way run_dist_mis's does: the caller inspects `completed` and
-/// verifies the coloring instead of the run aborting. The fixed-length
+/// `run` (sim/run_config.h) says how the repair executes. Under a fault
+/// plan the completeness/feasibility contract weakens the same way
+/// run_dist_mis's does: the caller inspects `completed` and verifies the
+/// coloring instead of the run aborting. The fixed-length
 /// flood-and-compete structure always terminates, so an unhardened lossy
 /// repair is the canonical *terminating but wrong* fault case the shrinker
 /// exercises.
-/// `pool`, when non-null, shards engine state and rounds across its workers
-/// (see SyncEngine::set_thread_pool; byte-identical for any thread or shard
-/// count); `shards` optionally fixes the shard count (0 = pool-derived).
-DistRepairResult run_distributed_repair(
-    const Graph& graph, const ArcColoring& stale, std::uint64_t seed = 1,
-    std::size_t max_rounds = 1'000'000, SimTrace* trace = nullptr,
-    const FaultSpec* faults = nullptr, bool reliable = false,
-    ThreadPool* pool = nullptr, std::size_t shards = 0);
+DistRepairResult run_distributed_repair(const Graph& graph,
+                                        const ArcColoring& stale,
+                                        std::uint64_t seed,
+                                        const RunConfig& run = {});
 
 }  // namespace fdlsp

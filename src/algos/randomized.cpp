@@ -15,6 +15,7 @@
 
 #include "graph/arcs.h"
 #include "sim/reliable.h"
+#include "sim/run_config.h"
 #include "sim/sync_engine.h"
 #include "support/check.h"
 #include "support/rng.h"
@@ -25,6 +26,8 @@ namespace {
 
 constexpr std::int32_t kTagState = 1;  // data: [arc, color, final, ...]
 constexpr std::int32_t kTagVeto = 2;   // data: [arc, ...]
+
+constexpr std::size_t kMaxRounds = 1'000'000;
 
 /// One tentative out-arc assignment.
 struct OutArc {
@@ -289,9 +292,8 @@ class RandomizedSet final : public SyncProgramSet {
 ScheduleResult run_randomized(const Graph& graph,
                               const RandomizedOptions& options) {
   RandomizedSet set(graph, options.seed);
-  const FaultSpec spec = options.faults != nullptr ? *options.faults
-                                                   : FaultSpec{};
-  std::size_t round_budget = options.max_rounds;
+  const FaultSpec spec = options.fault_spec();
+  std::size_t round_budget = kMaxRounds;
   std::optional<SyncEngine> engine;
   if (options.reliable) {
     // Hardened nodes need the per-node wrapper, so the set rides behind
@@ -305,26 +307,19 @@ ScheduleResult run_randomized(const Graph& graph,
   } else {
     engine.emplace(graph, set);
   }
-  engine->set_trace(options.trace);
-  engine->set_thread_pool(options.pool);
-  engine->set_shards(options.shards);
-  std::optional<FaultPlan> plan;
-  if (options.faults != nullptr && options.faults->any()) {
-    plan.emplace(spec, graph);
-    engine->set_fault_plan(&*plan);
-  }
+  const RunAttachment attached(*engine, graph, options);
   if (options.reliable) {
     // On this path the engine prepares the program set it drives — the
     // vector of reliable wrappers — so the underlying SoA set must be
-    // prepared by hand, with the engine's own shard decision, after every
-    // seam is configured (trace/faults force planned_shards() == 1).
+    // prepared by hand, with the engine's own shard decision, after the
+    // attachment (trace/faults force planned_shards() == 1).
     set.prepare_shards(engine->planned_shards());
   }
   const SyncMetrics metrics = engine->run(round_budget);
   // See dist_mis.cpp: crash/churn plans and unhardened lossy runs report
   // their outcome for the fault oracles to judge instead of aborting.
   const bool relaxed =
-      plan.has_value() &&
+      attached.faulted() &&
       (spec.crash_fraction > 0.0 || spec.link_down_fraction > 0.0 ||
        !options.reliable);
   if (!relaxed)

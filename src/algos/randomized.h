@@ -29,29 +29,10 @@
 
 namespace fdlsp {
 
-class SimTrace;
-class ThreadPool;
-
-/// Tunables for the randomized algorithm.
-struct RandomizedOptions {
+/// Tunables for the randomized algorithm; the inherited RunConfig says how
+/// it executes.
+struct RandomizedOptions : RunConfig {
   std::uint64_t seed = 1;
-  std::size_t max_rounds = 1'000'000;
-  /// Optional event observer (see sim/trace.h); not owned, may be null.
-  SimTrace* trace = nullptr;
-  /// Optional fault model (see sim/fault.h); not owned, may be null. With
-  /// crash/churn armed, or with losses and `reliable` off, the result's
-  /// coloring may be partial and `completed` false instead of aborting.
-  const FaultSpec* faults = nullptr;
-  /// Harden every node with the ack/retransmit wrapper (sim/reliable.h).
-  bool reliable = false;
-  /// Shard engine state and rounds across this pool (see
-  /// SyncEngine::set_thread_pool; byte-identical to the serial run for any
-  /// thread or shard count). Not owned, may be null. Ignored — serial
-  /// fallback — when trace/faults are attached.
-  ThreadPool* pool = nullptr;
-  /// Explicit shard count for pooled runs (SyncEngine::set_shards); 0
-  /// derives the count from the pool size. Meaningless without `pool`.
-  std::size_t shards = 0;
 };
 
 /// Runs the randomized distance-1 algorithm; returns a complete feasible

@@ -31,42 +31,30 @@ std::string scheduler_name(SchedulerKind kind) {
 
 namespace {
 
-ScheduleResult dispatch(SchedulerKind kind, const Graph& graph,
-                        std::uint64_t seed, SimTrace* trace,
-                        const FaultSpec* faults, bool reliable,
-                        ThreadPool* pool = nullptr, std::size_t shards = 0) {
+/// Algorithm options of type `Options` running in `run` with `seed`.
+template <typename Options>
+Options options_for(const RunConfig& run, std::uint64_t seed) {
+  Options options;
+  static_cast<RunConfig&>(options) = run;
+  options.seed = seed;
+  return options;
+}
+
+}  // namespace
+
+ScheduleResult run_scheduler(SchedulerKind kind, const Graph& graph,
+                             std::uint64_t seed, const RunConfig& run) {
   switch (kind) {
-    case SchedulerKind::kDistMisGbg: {
-      DistMisOptions options;
-      options.variant = DistMisVariant::kGbg;
-      options.seed = seed;
-      options.trace = trace;
-      options.faults = faults;
-      options.reliable = reliable;
-      options.pool = pool;
-      options.shards = shards;
-      return run_dist_mis(graph, options);
-    }
+    case SchedulerKind::kDistMisGbg:
     case SchedulerKind::kDistMisGeneral: {
-      DistMisOptions options;
-      options.variant = DistMisVariant::kGeneral;
-      options.seed = seed;
-      options.trace = trace;
-      options.faults = faults;
-      options.reliable = reliable;
-      options.pool = pool;
-      options.shards = shards;
+      DistMisOptions options = options_for<DistMisOptions>(run, seed);
+      options.variant = kind == SchedulerKind::kDistMisGbg
+                            ? DistMisVariant::kGbg
+                            : DistMisVariant::kGeneral;
       return run_dist_mis(graph, options);
     }
-    case SchedulerKind::kDfs: {
-      DfsOptions options;
-      options.seed = seed;
-      options.trace = trace;
-      options.faults = faults;
-      options.reliable = reliable;
-      options.shards = shards;
-      return run_dfs_schedule(graph, options);
-    }
+    case SchedulerKind::kDfs:
+      return run_dfs_schedule(graph, options_for<DfsOptions>(run, seed));
     case SchedulerKind::kDmgc:
       return run_dmgc(graph);
     case SchedulerKind::kGreedy: {
@@ -76,51 +64,12 @@ ScheduleResult dispatch(SchedulerKind kind, const Graph& graph,
       result.num_slots = result.coloring.num_colors_used();
       return result;
     }
-    case SchedulerKind::kRandomized: {
-      RandomizedOptions options;
-      options.seed = seed;
-      options.trace = trace;
-      options.faults = faults;
-      options.reliable = reliable;
-      options.pool = pool;
-      options.shards = shards;
-      return run_randomized(graph, options);
-    }
+    case SchedulerKind::kRandomized:
+      return run_randomized(graph,
+                            options_for<RandomizedOptions>(run, seed));
   }
   FDLSP_REQUIRE(false, "unknown scheduler kind");
   return {};
-}
-
-}  // namespace
-
-ScheduleResult run_scheduler(SchedulerKind kind, const Graph& graph,
-                             std::uint64_t seed) {
-  return dispatch(kind, graph, seed, nullptr, nullptr, false);
-}
-
-ScheduleResult run_scheduler_traced(SchedulerKind kind, const Graph& graph,
-                                    std::uint64_t seed, SimTrace* trace) {
-  return dispatch(kind, graph, seed, trace, nullptr, false);
-}
-
-ScheduleResult run_scheduler_parallel(SchedulerKind kind, const Graph& graph,
-                                      std::uint64_t seed, ThreadPool& pool) {
-  return dispatch(kind, graph, seed, nullptr, nullptr, false, &pool);
-}
-
-ScheduleResult run_scheduler_sharded(SchedulerKind kind, const Graph& graph,
-                                     std::uint64_t seed, ThreadPool& pool,
-                                     std::size_t shards) {
-  return dispatch(kind, graph, seed, nullptr, nullptr, false, &pool,
-                  shards);
-}
-
-ScheduleResult run_scheduler_faulted(SchedulerKind kind, const Graph& graph,
-                                     std::uint64_t seed,
-                                     const FaultSpec& faults, bool reliable,
-                                     SimTrace* trace, std::size_t shards) {
-  return dispatch(kind, graph, seed, trace, &faults, reliable, nullptr,
-                  shards);
 }
 
 }  // namespace fdlsp

@@ -9,11 +9,9 @@
 #include "graph/graph.h"
 #include "sim/fault.h"
 #include "sim/reliable.h"
+#include "sim/run_config.h"
 
 namespace fdlsp {
-
-class SimTrace;
-class ThreadPool;
 
 /// Outcome of one scheduling run: the schedule plus cost metrics. Metrics
 /// that do not apply to an algorithm are left at 0 (e.g. the asynchronous
@@ -56,44 +54,12 @@ enum class SchedulerKind {
 /// Human-readable algorithm name (for tables).
 std::string scheduler_name(SchedulerKind kind);
 
-/// Runs the given algorithm on `graph` with deterministic seed.
+/// Runs the given algorithm on `graph` with deterministic seed, in the
+/// execution environment `run` (sim/run_config.h). DistMIS, distMIS-gen
+/// and randomized run on the synchronous engine, DFS on the asynchronous
+/// one. Centralized algorithms (D-MGC, greedy) have no engine: they ignore
+/// `run` and return the clean result.
 ScheduleResult run_scheduler(SchedulerKind kind, const Graph& graph,
-                             std::uint64_t seed);
-
-/// Same, with a simulation-event observer attached to the engine for the
-/// duration of the run (see sim/trace.h). Centralized algorithms (D-MGC,
-/// greedy) have no engine and emit no events. `trace` may be null, in which
-/// case this is exactly run_scheduler.
-ScheduleResult run_scheduler_traced(SchedulerKind kind, const Graph& graph,
-                                    std::uint64_t seed, SimTrace* trace);
-
-/// Same as run_scheduler, with the synchronous engine's state and rounds
-/// sharded across `pool` (see SyncEngine::set_thread_pool). Byte-identical
-/// to run_scheduler for any thread count; algorithms without a synchronous
-/// engine (DFS, D-MGC, greedy) ignore the pool and run as usual.
-ScheduleResult run_scheduler_parallel(SchedulerKind kind, const Graph& graph,
-                                      std::uint64_t seed, ThreadPool& pool);
-
-/// Same as run_scheduler_parallel with an explicit shard count (see
-/// SyncEngine::set_shards; 0 = pool-derived). Byte-identical to
-/// run_scheduler for any shard count — the contract the sharded-state suite
-/// of engine_parallel_test pins across scenario families.
-ScheduleResult run_scheduler_sharded(SchedulerKind kind, const Graph& graph,
-                                     std::uint64_t seed, ThreadPool& pool,
-                                     std::size_t shards);
-
-/// Runs the algorithm under a deterministic fault model (sim/fault.h).
-/// `reliable` additionally hardens every node with the ack/retransmit
-/// wrapper (sim/reliable.h) — required for the run to keep its feasibility
-/// guarantee under lossy plans. Centralized algorithms (D-MGC, greedy) have no
-/// engine and execute fault-free; their result is the clean one. `trace`
-/// may be null. `shards` replays the run on the sharded engine path
-/// (AsyncEngine::set_shards for DFS, SyncEngine::set_shards for the
-/// synchronizer-based schedulers; 0 = serial) — byte-identical to serial
-/// for any value, so fault repro lines replay unchanged on either path.
-ScheduleResult run_scheduler_faulted(
-    SchedulerKind kind, const Graph& graph, std::uint64_t seed,
-    const FaultSpec& faults, bool reliable, SimTrace* trace = nullptr,
-    std::size_t shards = 0);
+                             std::uint64_t seed, const RunConfig& run = {});
 
 }  // namespace fdlsp

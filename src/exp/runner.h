@@ -33,18 +33,18 @@ struct PointResult {
 };
 
 /// Which schedulers to evaluate and with how many instances.
-struct RunConfig {
+struct SweepConfig {
   std::vector<SchedulerKind> kinds;
   std::size_t instances = 75;
   std::uint64_t seed = 1;
 };
 
 /// Runs all schedulers over `instances` random UDGs at the given point.
-PointResult run_udg_point(const UdgPoint& point, const RunConfig& config,
+PointResult run_udg_point(const UdgPoint& point, const SweepConfig& config,
                           ThreadPool& pool);
 
 /// Runs all schedulers over `instances` random G(n, m) graphs.
 PointResult run_general_point(const GeneralPoint& point,
-                              const RunConfig& config, ThreadPool& pool);
+                              const SweepConfig& config, ThreadPool& pool);
 
 }  // namespace fdlsp

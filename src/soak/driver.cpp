@@ -160,9 +160,8 @@ SoakDriver::Scheduled SoakDriver::schedule(const ArcView& view,
                                            std::uint64_t event_seed) {
   Scheduled out;
   if (options_.distributed) {
-    DistRepairResult dist = run_distributed_repair(
-        view.graph(), stale, event_seed, options_.max_rounds, options_.trace,
-        options_.faults, options_.reliable, options_.pool, options_.shards);
+    DistRepairResult dist =
+        run_distributed_repair(view.graph(), stale, event_seed, options_);
     out.coloring = std::move(dist.coloring);
     if (!dist.completed || !out.coloring.complete() ||
         find_violation(view, out.coloring, &*index_).has_value()) {

@@ -32,14 +32,11 @@
 #include "coloring/coloring.h"
 #include "coloring/conflict_index.h"
 #include "graph/arcs.h"
-#include "sim/fault.h"
+#include "sim/run_config.h"
 #include "soak/event.h"
 #include "soak/topology.h"
 
 namespace fdlsp {
-
-class SimTrace;
-class ThreadPool;
 
 /// Per-event scheduling strategy.
 enum class SoakAction { kRepair, kRecompute };
@@ -65,19 +62,13 @@ using SoakCostModel = std::function<SoakAction(const SoakCostContext&)>;
 /// exceeds drift_band × bound (band >= 1) — the drift oracle's invariant.
 SoakAction default_soak_cost(const SoakCostContext& context);
 
-/// Knobs threaded through to the scheduling machinery.
-struct SoakOptions {
+/// Knobs threaded through to the scheduling machinery. The inherited
+/// RunConfig is how every distributed repair executes; centralized events
+/// run no engine and ignore it. Sharding is byte-identical to serial, so
+/// soak repro lines replay unchanged on the sharded path.
+struct SoakOptions : RunConfig {
   SoakCostModel cost_model;  ///< empty => default_soak_cost
   bool distributed = false;  ///< route repairs through run_distributed_repair
-  const FaultSpec* faults = nullptr;  ///< fault plan for distributed runs
-  bool reliable = false;              ///< ack/retransmit hardening
-  SimTrace* trace = nullptr;          ///< observes distributed engine events
-  ThreadPool* pool = nullptr;         ///< shards distributed engine rounds
-  /// Explicit engine shard count for distributed repairs (0 = pool-derived;
-  /// see SyncEngine::set_shards). Byte-identical to serial for any value,
-  /// so soak repro lines replay unchanged on the sharded path.
-  std::size_t shards = 0;
-  std::size_t max_rounds = 1'000'000;
 };
 
 /// Everything one event did. The formatted log line excludes `micros` and

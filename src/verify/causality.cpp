@@ -55,7 +55,7 @@ OracleVerdict check_causality(SchedulerKind kind, const Graph& graph,
       kind, graph, seed,
       [&verdict, kind](const Graph& g, std::uint64_t s) {
         HappensBeforeChecker checker(g.num_nodes());
-        run_scheduler_traced(kind, g, s, &checker);
+        run_scheduler(kind, g, s, {.trace = &checker});
         if (!checker.ok()) {
           verdict.ok = false;
           verdict.failure = "causality: " + checker.report();
@@ -75,7 +75,7 @@ std::string causality_report(SchedulerKind kind, const Graph& graph,
   for_each_engine_run(kind, graph, seed,
                       [&out, &runs, kind](const Graph& g, std::uint64_t s) {
                         HappensBeforeChecker checker(g.num_nodes());
-                        run_scheduler_traced(kind, g, s, &checker);
+                        run_scheduler(kind, g, s, {.trace = &checker});
                         if (!out.empty()) out += "\n";
                         out += checker.report();
                         ++runs;

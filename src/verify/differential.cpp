@@ -123,8 +123,8 @@ ScenarioOutcome check_shard_determinism(
   const ScheduleResult serial = run_scheduler(kind, graph, scenario.seed);
   for (const std::size_t shards : shard_counts) {
     ++outcome.checks;
-    const ScheduleResult sharded =
-        run_scheduler_sharded(kind, graph, scenario.seed, pool, shards);
+    const ScheduleResult sharded = run_scheduler(
+        kind, graph, scenario.seed, {.pool = &pool, .shards = shards});
     const bool identical = serial.coloring.raw() == sharded.coloring.raw() &&
                            serial.num_slots == sharded.num_slots &&
                            serial.rounds == sharded.rounds &&

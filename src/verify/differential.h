@@ -113,10 +113,12 @@ ScenarioSweep run_scenarios(std::span<const Scenario> scenarios,
                             ThreadPool* pool = nullptr);
 
 /// Sharded-engine determinism probe (DESIGN.md §14): materializes the
-/// scenario, runs `kind` serially, then once per entry of `shard_counts`
-/// with engine state sharded across `pool` (SyncEngine::set_shards), and
-/// compares each sharded result to the serial one byte-for-byte — coloring
-/// bytes, slot count, rounds, messages, completion. One check per shard
+/// scenario, runs `kind` serially, then once per entry S of `shard_counts`
+/// with the RunConfig {.pool = &pool, .shards = S} — the synchronous
+/// schedulers shard their engine across `pool`, DFS shards the asynchronous
+/// engine — and compares each sharded result to the serial one
+/// byte-for-byte — coloring bytes, slot count, rounds, messages,
+/// completion. One check per shard
 /// count; each divergence becomes one failure string carrying the repro
 /// command. Shaped as a ScenarioCheckFn body so property suites sweep it
 /// with run_scenarios.

@@ -121,12 +121,12 @@ OracleVerdict check_fault_quiescence(SchedulerKind kind, const Graph& graph,
                                      std::uint64_t seed,
                                      const FaultSpec& spec) {
   const ScheduleResult first =
-      run_scheduler_faulted(kind, graph, seed, spec, /*reliable=*/true);
+      run_scheduler(kind, graph, seed, {.faults = &spec, .reliable = true});
   OracleVerdict verdict = check_fault_result(graph, first, &spec);
   if (!verdict.ok) return verdict;
 
   const ScheduleResult second =
-      run_scheduler_faulted(kind, graph, seed, spec, /*reliable=*/true);
+      run_scheduler(kind, graph, seed, {.faults = &spec, .reliable = true});
   for (ArcId a = 0; a < first.coloring.num_arcs(); ++a) {
     if (first.coloring.color(a) == second.coloring.color(a)) continue;
     verdict.ok = false;
@@ -153,7 +153,7 @@ OracleVerdict check_burst_quiescence(SchedulerKind kind, const Graph& graph,
   OracleVerdict verdict = check_fault_quiescence(kind, graph, seed, spec);
   if (!verdict.ok) return verdict;
   const ScheduleResult faulted =
-      run_scheduler_faulted(kind, graph, seed, spec, /*reliable=*/true);
+      run_scheduler(kind, graph, seed, {.faults = &spec, .reliable = true});
   // Round bound: the wrapper restores perfect-channel semantics, so the
   // inner protocol consumes the same rounds as a clean run and the outer
   // round count is bounded by clean rounds times the provisioned dilation,
@@ -183,7 +183,7 @@ OracleVerdict check_detector(SchedulerKind kind, const Graph& graph,
                              std::uint64_t seed, const FaultSpec& spec) {
   OracleVerdict verdict;
   const ScheduleResult result =
-      run_scheduler_faulted(kind, graph, seed, spec, /*reliable=*/true);
+      run_scheduler(kind, graph, seed, {.faults = &spec, .reliable = true});
   // Consistency: under the adaptive transport, frames die only through the
   // suspected -> dead path, so abandonment without a suspicion means the
   // state machine was bypassed; and re-trusts consume prior suspicions.

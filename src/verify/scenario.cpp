@@ -5,6 +5,7 @@
 
 #include "graph/generators.h"
 #include "support/check.h"
+#include "support/cli.h"
 #include "support/rng.h"
 
 namespace fdlsp {
@@ -122,6 +123,16 @@ std::vector<Scenario> sample_scenarios(std::size_t count, std::uint64_t seed,
     scenarios.push_back(s);
   }
   return scenarios;
+}
+
+void require_replay_flags(const CliArgs& args) {
+  args.require_known(kReplayFlags);
+  if (args.has("faults")) return;
+  for (const char* flag : {"reliable", "prr-trace", "shards"}) {
+    const std::string name = flag;
+    FDLSP_REQUIRE(!args.has(name),
+                  "--" + name + " needs --faults; replay ignores it otherwise");
+  }
 }
 
 }  // namespace fdlsp

@@ -18,6 +18,8 @@
 
 namespace fdlsp {
 
+class CliArgs;
+
 /// Graph families the fuzzer samples from.
 enum class GraphFamily {
   kUdg,   ///< random unit disk graph; density scales the radius
@@ -73,6 +75,12 @@ inline std::string repro_command(const Scenario& scenario,
 inline constexpr std::string_view kReplayFlags[] = {
     "family", "n",        "density",   "seed",   "scheduler",
     "faults", "reliable", "prr-trace", "shards", "help"};
+
+/// Checks a scheduler-mode replay line: every flag must be in kReplayFlags,
+/// and --reliable, --prr-trace and --shards need --faults — without a
+/// fault plan replay would ignore them. Raises contract_error naming the
+/// offending flag.
+void require_replay_flags(const CliArgs& args);
 
 /// Compact printable form of a graph ("n=4 edges=[(0,1),(1,2),(2,3)]") for
 /// embedding shrunk counterexamples in failure reports.

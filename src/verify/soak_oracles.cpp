@@ -5,6 +5,7 @@
 
 #include "coloring/checker.h"
 #include "support/check.h"
+#include "support/cli.h"
 
 namespace fdlsp {
 namespace {
@@ -269,6 +270,17 @@ std::string soak_repro_command(const SoakSpec& spec, const FaultSpec& faults,
       format_fault_spec(faults);
   if (!reliable) out += " --reliable=0";
   return out + band_flag(oracle_options);
+}
+
+void require_soak_replay_flags(const CliArgs& args) {
+  args.require_known(kSoakReplayFlags);
+  const bool faulted = args.has("faults");
+  FDLSP_REQUIRE(faulted || !args.has("reliable"),
+                "--reliable needs --faults; replay ignores it otherwise");
+  FDLSP_REQUIRE(faulted || args.get_int("distributed", 0) != 0 ||
+                    !args.has("shards"),
+                "--shards needs a distributed engine (--distributed=1 or "
+                "--faults); replay ignores it otherwise");
 }
 
 }  // namespace fdlsp

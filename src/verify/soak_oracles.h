@@ -37,6 +37,8 @@
 
 namespace fdlsp {
 
+class CliArgs;
+
 /// Which long-horizon invariants to apply, and how often to pay for the
 /// whole-graph passes.
 struct SoakOracleOptions {
@@ -116,5 +118,11 @@ std::string soak_repro_command(const SoakSpec& spec, const FaultSpec& faults,
 /// soak_repro_command() prints, plus --distributed, --shards and --help.
 inline constexpr std::string_view kSoakReplayFlags[] = {
     "soak", "soak-band", "faults", "reliable", "distributed", "shards", "help"};
+
+/// Checks a soak-mode replay line: every flag must be in kSoakReplayFlags,
+/// --reliable needs --faults, and --shards needs a distributed engine
+/// (--distributed=1, or --faults, which implies it) — replay would ignore
+/// either otherwise. Raises contract_error naming the offending flag.
+void require_soak_replay_flags(const CliArgs& args);
 
 }  // namespace fdlsp

@@ -10,6 +10,9 @@
 //    every engine-backed scheduler across all six scenario families.
 // 3. run_scenarios: the sharded sweep driver must report identical counts
 //    and identical (lowest-index-first) failure ordering for any pool.
+// 4. RunConfig: an auditor attached through the one run configuration
+//    reaches every engine-backed scheduler and the distributed repair
+//    without changing their results.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -28,6 +31,7 @@
 #include "graph/generators.h"
 #include "sim/shard.h"
 #include "sim/sync_engine.h"
+#include "support/alloc_audit.h"
 #include "support/rng.h"
 #include "support/small_payload.h"
 #include "support/thread_pool.h"
@@ -163,7 +167,7 @@ TEST(ParallelEngine, ByteIdenticalToSerialForAnyThreadCount) {
         const ScheduleResult serial =
             run_scheduler(kind, graph, scenario.seed);
         const ScheduleResult parallel =
-            run_scheduler_parallel(kind, graph, scenario.seed, pool);
+            run_scheduler(kind, graph, scenario.seed, {.pool = &pool});
         ASSERT_EQ(serial.coloring.raw(), parallel.coloring.raw())
             << "threads=" << threads << " "
             << repro_command(scenario, kind);
@@ -197,8 +201,8 @@ TEST(ParallelEngine, DistributedRepairMatchesSerial) {
   for (ArcId a = 0; a < stale.num_arcs(); a += 3) stale.clear(a);
   const DistRepairResult serial = run_distributed_repair(graph, stale, 11);
   ThreadPool pool(4);
-  const DistRepairResult parallel = run_distributed_repair(
-      graph, stale, 11, 1'000'000, nullptr, nullptr, false, &pool);
+  const DistRepairResult parallel =
+      run_distributed_repair(graph, stale, 11, {.pool = &pool});
   EXPECT_EQ(serial.coloring.raw(), parallel.coloring.raw());
   EXPECT_EQ(serial.recolored_arcs, parallel.recolored_arcs);
   EXPECT_EQ(serial.rounds, parallel.rounds);
@@ -210,13 +214,51 @@ TEST(ParallelEngine, PoolReusableAcrossRuns) {
   // in itself between runs.
   ThreadPool pool(3);
   const Graph graph = generate_cycle(20);
-  const ScheduleResult first = run_scheduler_parallel(
-      SchedulerKind::kDistMisGbg, graph, 42, pool);
-  const ScheduleResult second = run_scheduler_parallel(
-      SchedulerKind::kDistMisGbg, graph, 42, pool);
+  const ScheduleResult first =
+      run_scheduler(SchedulerKind::kDistMisGbg, graph, 42, {.pool = &pool});
+  const ScheduleResult second =
+      run_scheduler(SchedulerKind::kDistMisGbg, graph, 42, {.pool = &pool});
   EXPECT_EQ(first.coloring.raw(), second.coloring.raw());
   EXPECT_EQ(first.rounds, second.rounds);
   EXPECT_EQ(first.messages, second.messages);
+}
+
+// ---------------------------------------------------------------------------
+// RunConfig: one execution environment reaches every engine
+// ---------------------------------------------------------------------------
+
+// An auditor attached through the RunConfig reaches the synchronous engine
+// (DistMIS, distMIS-gen, randomized, repair) and the asynchronous one
+// (DFS): it brackets the rounds or events of each run, and the audited
+// result is byte-identical to the plain one.
+TEST(RunConfig, AllocAuditReachesEveryEngine) {
+  const Graph graph = generate_grid(5, 6);
+  for (const SchedulerKind kind :
+       {SchedulerKind::kDistMisGbg, SchedulerKind::kDistMisGeneral,
+        SchedulerKind::kDfs, SchedulerKind::kRandomized}) {
+    const ScheduleResult plain = run_scheduler(kind, graph, 21);
+    AllocAudit audit;
+    const ScheduleResult audited =
+        run_scheduler(kind, graph, 21, {.audit = &audit});
+    EXPECT_GT(audit.rounds(), 0u) << scheduler_name(kind);
+    EXPECT_EQ(plain.coloring.raw(), audited.coloring.raw())
+        << scheduler_name(kind);
+    EXPECT_EQ(plain.rounds, audited.rounds) << scheduler_name(kind);
+    EXPECT_EQ(plain.messages, audited.messages) << scheduler_name(kind);
+    EXPECT_EQ(plain.async_time, audited.async_time) << scheduler_name(kind);
+  }
+  const ArcView view(graph);
+  ArcColoring stale = greedy_coloring(view);
+  for (ArcId a = 0; a < stale.num_arcs(); a += 3) stale.clear(a);
+  const DistRepairResult plain = run_distributed_repair(graph, stale, 11);
+  AllocAudit audit;
+  const DistRepairResult audited =
+      run_distributed_repair(graph, stale, 11, {.audit = &audit});
+  EXPECT_GT(audit.rounds(), 0u);
+  EXPECT_EQ(plain.coloring.raw(), audited.coloring.raw());
+  EXPECT_EQ(plain.recolored_arcs, audited.recolored_arcs);
+  EXPECT_EQ(plain.rounds, audited.rounds);
+  EXPECT_EQ(plain.messages, audited.messages);
 }
 
 // ---------------------------------------------------------------------------
@@ -333,7 +375,7 @@ TEST(ShardedEngine, RepairMatchesSerialForExplicitShardCounts) {
   ThreadPool pool(4);
   for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
     const DistRepairResult sharded = run_distributed_repair(
-        graph, stale, 11, 1'000'000, nullptr, nullptr, false, &pool, shards);
+        graph, stale, 11, {.pool = &pool, .shards = shards});
     ASSERT_EQ(serial.coloring.raw(), sharded.coloring.raw())
         << "shards=" << shards;
     EXPECT_EQ(serial.recolored_arcs, sharded.recolored_arcs);
@@ -388,7 +430,7 @@ TEST(RunScenarios, NestedPooledEngineOnSharedPoolDegradesToSerial) {
     const ScheduleResult serial =
         run_scheduler_on_components(SchedulerKind::kDistMisGbg, graph, 7);
     const ScheduleResult pooled =
-        run_scheduler_parallel(SchedulerKind::kDistMisGbg, graph, 7, pool);
+        run_scheduler(SchedulerKind::kDistMisGbg, graph, 7, {.pool = &pool});
     ++outcome.checks;
     if (serial.coloring.raw() != pooled.coloring.raw() ||
         serial.messages != pooled.messages)

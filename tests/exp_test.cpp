@@ -57,7 +57,7 @@ TEST(ComponentScheduling, ConnectedGraphPassesThrough) {
 
 TEST(Runner, UdgPointAggregatesAllAlgorithms) {
   ThreadPool pool(2);
-  RunConfig config;
+  SweepConfig config;
   config.kinds = {SchedulerKind::kGreedy, SchedulerKind::kDmgc};
   config.instances = 4;
   config.seed = 9;
@@ -75,7 +75,7 @@ TEST(Runner, UdgPointAggregatesAllAlgorithms) {
 }
 
 TEST(Runner, DeterministicAcrossThreadCounts) {
-  RunConfig config;
+  SweepConfig config;
   config.kinds = {SchedulerKind::kGreedy};
   config.instances = 6;
   config.seed = 11;
@@ -90,7 +90,7 @@ TEST(Runner, DeterministicAcrossThreadCounts) {
 
 TEST(Report, SlotsTableShape) {
   ThreadPool pool(2);
-  RunConfig config;
+  SweepConfig config;
   config.kinds = {SchedulerKind::kGreedy};
   config.instances = 2;
   std::vector<PointResult> points{
@@ -105,7 +105,7 @@ TEST(Report, SlotsTableShape) {
 
 TEST(Report, RoundsTableShape) {
   ThreadPool pool(2);
-  RunConfig config;
+  SweepConfig config;
   config.kinds = {SchedulerKind::kDistMisGeneral};
   config.instances = 2;
   std::vector<PointResult> points{

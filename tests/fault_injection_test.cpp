@@ -123,10 +123,10 @@ TEST_P(FaultSweep, HardenedRunsPassFaultOracles) {
       // deterministically, and whatever it did color obeys the scoped
       // feasibility contract.
       if (kind == SchedulerKind::kDfs && spec.crash_fraction > 0.0) {
-        const ScheduleResult first = run_scheduler_faulted(
-            kind, graph, scenario.seed, spec, /*reliable=*/true);
-        const ScheduleResult second = run_scheduler_faulted(
-            kind, graph, scenario.seed, spec, /*reliable=*/true);
+        const ScheduleResult first = run_scheduler(
+            kind, graph, scenario.seed, {.faults = &spec, .reliable = true});
+        const ScheduleResult second = run_scheduler(
+            kind, graph, scenario.seed, {.faults = &spec, .reliable = true});
         if (first.completed != second.completed ||
             first.messages != second.messages)
           outcome.failures.push_back(
@@ -305,8 +305,7 @@ TEST(FaultInjectionTest, HardenedRepairSurvivesLossyRun) {
     for (const NeighborEntry& entry : graph.neighbors(0))
       stale.clear(view.arc_from(entry.edge, 0));
     const DistRepairResult repaired = run_distributed_repair(
-        graph, stale, scenario.seed, 1'000'000, nullptr, &spec,
-        /*reliable=*/true);
+        graph, stale, scenario.seed, {.faults = &spec, .reliable = true});
     EXPECT_TRUE(repaired.completed);
     EXPECT_TRUE(is_feasible_schedule(view, repaired.coloring))
         << "repro: "
@@ -327,8 +326,8 @@ bool lossy_repair_fails(const Graph& graph, const FaultSpec& spec) {
   ArcColoring stale = clean.coloring;
   for (const NeighborEntry& entry : graph.neighbors(0))
     stale.clear(view.arc_from(entry.edge, 0));
-  const DistRepairResult repaired = run_distributed_repair(
-      graph, stale, 7, 1'000'000, nullptr, &spec, /*reliable=*/false);
+  const DistRepairResult repaired =
+      run_distributed_repair(graph, stale, 7, {.faults = &spec});
   return !repaired.completed ||
          !is_feasible_schedule(view, repaired.coloring);
 }

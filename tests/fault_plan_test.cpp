@@ -352,8 +352,8 @@ TEST(FaultPlanTest, ZeroFaultPathIsByteIdentical) {
        {SchedulerKind::kDistMisGbg, SchedulerKind::kDistMisGeneral,
         SchedulerKind::kRandomized}) {
     const ScheduleResult plain = run_scheduler(kind, sync_graph, 3);
-    const ScheduleResult faulted = run_scheduler_faulted(
-        kind, sync_graph, 3, none, /*reliable=*/false);
+    const ScheduleResult faulted =
+        run_scheduler(kind, sync_graph, 3, {.faults = &none});
     ASSERT_EQ(plain.coloring.num_arcs(), faulted.coloring.num_arcs());
     for (ArcId a = 0; a < plain.coloring.num_arcs(); ++a)
       ASSERT_EQ(plain.coloring.color(a), faulted.coloring.color(a));
@@ -364,8 +364,8 @@ TEST(FaultPlanTest, ZeroFaultPathIsByteIdentical) {
 
   const ScheduleResult plain =
       run_scheduler(SchedulerKind::kDfs, async_graph, 3);
-  const ScheduleResult faulted = run_scheduler_faulted(
-      SchedulerKind::kDfs, async_graph, 3, none, /*reliable=*/false);
+  const ScheduleResult faulted =
+      run_scheduler(SchedulerKind::kDfs, async_graph, 3, {.faults = &none});
   for (ArcId a = 0; a < plain.coloring.num_arcs(); ++a)
     ASSERT_EQ(plain.coloring.color(a), faulted.coloring.color(a));
   EXPECT_EQ(plain.messages, faulted.messages);

@@ -54,8 +54,8 @@ TEST_P(ReliableSyncSchedulers, LossySpecStillYieldsFeasibleSchedule) {
       generate_gnm(14, 24, rng)};
   const FaultSpec spec = lossy_spec();
   for (std::size_t i = 0; i < graphs.size(); ++i) {
-    const ScheduleResult result = run_scheduler_faulted(
-        kind, graphs[i], /*seed=*/5, spec, /*reliable=*/true);
+    const ScheduleResult result = run_scheduler(
+        kind, graphs[i], /*seed=*/5, {.faults = &spec, .reliable = true});
     EXPECT_TRUE(result.completed) << "graph " << i;
     EXPECT_GT(result.faults.dropped, 0u) << "graph " << i;
     const ArcView view(graphs[i]);
@@ -82,8 +82,9 @@ TEST(ReliableChannelTest, AsyncWrapperRestoresDfsUnderLoss) {
                                      generate_grid(3, 3)};
   const FaultSpec spec = lossy_spec();
   for (std::size_t i = 0; i < graphs.size(); ++i) {
-    const ScheduleResult result = run_scheduler_faulted(
-        SchedulerKind::kDfs, graphs[i], /*seed=*/5, spec, /*reliable=*/true);
+    const ScheduleResult result =
+        run_scheduler(SchedulerKind::kDfs, graphs[i], /*seed=*/5,
+                      {.faults = &spec, .reliable = true});
     EXPECT_TRUE(result.completed) << "graph " << i;
     EXPECT_GT(result.faults.dropped, 0u) << "graph " << i;
     const ArcView view(graphs[i]);
@@ -98,8 +99,8 @@ TEST(ReliableChannelTest, UnwrappedDfsLosesItsTokenUnderDrops) {
   spec.seed = 11;
   spec.drop_rate = 0.5;
   const Graph graph = generate_cycle(10);
-  const ScheduleResult result = run_scheduler_faulted(
-      SchedulerKind::kDfs, graph, /*seed=*/5, spec, /*reliable=*/false);
+  const ScheduleResult result = run_scheduler(
+      SchedulerKind::kDfs, graph, /*seed=*/5, {.faults = &spec});
   const ArcView view(graph);
   EXPECT_FALSE(result.completed && is_feasible_schedule(view, result.coloring));
 }
@@ -114,8 +115,8 @@ TEST(ReliableChannelTest, CorruptionIsDetectedAndRetransmitted) {
   const ArcView view(graph);
   for (const SchedulerKind kind :
        {SchedulerKind::kDistMisGbg, SchedulerKind::kDfs}) {
-    const ScheduleResult result = run_scheduler_faulted(
-        kind, graph, /*seed=*/4, spec, /*reliable=*/true);
+    const ScheduleResult result = run_scheduler(
+        kind, graph, /*seed=*/4, {.faults = &spec, .reliable = true});
     EXPECT_TRUE(result.completed);
     EXPECT_GT(result.faults.corrupted, 0u);
     EXPECT_TRUE(is_feasible_schedule(view, result.coloring));
@@ -132,8 +133,8 @@ TEST(ReliableChannelTest, DuplicatesAreDeduplicated) {
   const ArcView view(graph);
   for (const SchedulerKind kind :
        {SchedulerKind::kDistMisGbg, SchedulerKind::kDfs}) {
-    const ScheduleResult result = run_scheduler_faulted(
-        kind, graph, /*seed=*/4, spec, /*reliable=*/true);
+    const ScheduleResult result = run_scheduler(
+        kind, graph, /*seed=*/4, {.faults = &spec, .reliable = true});
     EXPECT_TRUE(result.completed);
     EXPECT_GT(result.faults.duplicated, 0u);
     EXPECT_TRUE(is_feasible_schedule(view, result.coloring));
@@ -148,9 +149,9 @@ TEST(ReliableChannelTest, FaultedRunsAreDeterministic) {
   for (const SchedulerKind kind :
        {SchedulerKind::kDistMisGbg, SchedulerKind::kDfs}) {
     const ScheduleResult first =
-        run_scheduler_faulted(kind, graph, 5, spec, /*reliable=*/true);
+        run_scheduler(kind, graph, 5, {.faults = &spec, .reliable = true});
     const ScheduleResult second =
-        run_scheduler_faulted(kind, graph, 5, spec, /*reliable=*/true);
+        run_scheduler(kind, graph, 5, {.faults = &spec, .reliable = true});
     ASSERT_EQ(first.coloring.num_arcs(), second.coloring.num_arcs());
     for (ArcId a = 0; a < first.coloring.num_arcs(); ++a)
       ASSERT_EQ(first.coloring.color(a), second.coloring.color(a));
@@ -170,7 +171,7 @@ TEST(ReliableChannelTest, LinkChurnIsRiddenOut) {
        {SchedulerKind::kDistMisGbg, SchedulerKind::kDfs}) {
     const Graph graph = generate_cycle(8);
     const ScheduleResult result =
-        run_scheduler_faulted(kind, graph, 6, spec, /*reliable=*/true);
+        run_scheduler(kind, graph, 6, {.faults = &spec, .reliable = true});
     EXPECT_TRUE(result.completed) << scheduler_name(kind);
     const OracleVerdict verdict = check_fault_result(graph, result, &spec);
     EXPECT_TRUE(verdict.ok) << scheduler_name(kind) << ": "
@@ -190,7 +191,7 @@ TEST(ReliableChannelTest, BurstLossIsRiddenOut) {
        {SchedulerKind::kDistMisGbg, SchedulerKind::kDfs}) {
     const Graph graph = generate_grid(3, 3);
     const ScheduleResult result =
-        run_scheduler_faulted(kind, graph, 6, spec, /*reliable=*/true);
+        run_scheduler(kind, graph, 6, {.faults = &spec, .reliable = true});
     EXPECT_TRUE(result.completed) << scheduler_name(kind);
     EXPECT_GT(result.faults.burst_dropped, 0u) << scheduler_name(kind);
     const ArcView view(graph);
@@ -213,7 +214,7 @@ TEST(AdaptiveTransportTest, BackoffGrowsUnderSustainedLoss) {
        {SchedulerKind::kDistMisGbg, SchedulerKind::kDfs}) {
     const Graph graph = generate_cycle(8);
     const ScheduleResult result =
-        run_scheduler_faulted(kind, graph, 7, spec, /*reliable=*/true);
+        run_scheduler(kind, graph, 7, {.faults = &spec, .reliable = true});
     EXPECT_TRUE(result.completed) << scheduler_name(kind);
     EXPECT_GT(result.transport.retransmits, 0u) << scheduler_name(kind);
     // Base spacing is 2 (rounds on the sync wrapper, time units on the
@@ -235,7 +236,7 @@ TEST(AdaptiveTransportTest, BudgetExhaustionRaisesSuspicion) {
        {SchedulerKind::kDistMisGbg, SchedulerKind::kDfs}) {
     const Graph graph = generate_cycle(8);
     const ScheduleResult result =
-        run_scheduler_faulted(kind, graph, 9, spec, /*reliable=*/true);
+        run_scheduler(kind, graph, 9, {.faults = &spec, .reliable = true});
     // DistMIS survivors finish around the hole; DFS only degrades
     // gracefully (the token dies with the crashed node) — but on both, the
     // run terminates and the detector has convicted the dead peer.
@@ -270,7 +271,7 @@ TEST(AdaptiveTransportTest, RecoveryAfterOutageRetrusts) {
        {SchedulerKind::kDistMisGbg, SchedulerKind::kDfs}) {
     const Graph graph = generate_cycle(6);
     const ScheduleResult result =
-        run_scheduler_faulted(kind, graph, 8, spec, /*reliable=*/true);
+        run_scheduler(kind, graph, 8, {.faults = &spec, .reliable = true});
     EXPECT_TRUE(result.completed) << scheduler_name(kind);
     EXPECT_GT(result.faults.region_drops, 0u) << scheduler_name(kind);
     EXPECT_GT(result.transport.suspicions, 0u) << scheduler_name(kind);

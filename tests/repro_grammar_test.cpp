@@ -9,7 +9,8 @@
 // same contract: the flag it echoes into repro lines must parse back to the
 // same shard count through the CLI layer the tool uses. And every flag a
 // printed repro line carries must be in the vocabulary replay accepts, while
-// anything outside it is rejected rather than ignored.
+// anything outside it, or a flag the run would ignore, is rejected rather
+// than ignored.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -258,6 +259,59 @@ TEST(ReplayFlags, UnknownFlagsAreRejectedPerMode) {
                  contract_error)
         << stray;
   }
+}
+
+/// The contract_error message replay's soak or scheduler mode raises for
+/// `flags`, or "" when the line is accepted.
+std::string rejection(const std::vector<std::string>& flags) {
+  const CliArgs args = parse_flags(flags);
+  try {
+    if (args.has("soak"))
+      require_soak_replay_flags(args);
+    else
+      require_replay_flags(args);
+  } catch (const contract_error& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(ReplayFlags, FlagsTheRunWouldIgnoreAreRejectedPerMode) {
+  // Scheduler mode: transport, trace and shard flags need a fault plan.
+  const std::vector<std::string> base = {"--family=ring", "--n=8", "--seed=3",
+                                         "--scheduler=DFS"};
+  for (const std::string flag : {"--reliable=0", "--reliable=1",
+                                 "--prr-trace=/nonexistent/file",
+                                 "--shards=4"}) {
+    std::vector<std::string> line = base;
+    line.push_back(flag);
+    const std::string name = flag.substr(0, flag.find('='));
+    EXPECT_NE(rejection(line).find(name), std::string::npos) << flag;
+    line.push_back("--faults=drop=0.1");
+    EXPECT_EQ(rejection(line), "") << flag;
+  }
+  EXPECT_EQ(rejection(base), "");
+  std::vector<std::string> faults_none = base;
+  faults_none.push_back("--faults=none");
+  faults_none.push_back("--shards=4");
+  EXPECT_EQ(rejection(faults_none), "");
+
+  // Soak mode: --reliable needs --faults, --shards a distributed engine.
+  EXPECT_NE(rejection({"--soak=seed=7", "--reliable=0"}).find("--reliable"),
+            std::string::npos);
+  EXPECT_NE(rejection({"--soak=seed=7", "--distributed=1", "--reliable=1"})
+                .find("--reliable"),
+            std::string::npos);
+  EXPECT_EQ(rejection({"--soak=seed=7", "--faults=drop=0.1", "--reliable=0"}),
+            "");
+  for (const std::vector<std::string>& line :
+       {std::vector<std::string>{"--soak=seed=7", "--shards=4"},
+        std::vector<std::string>{"--soak=seed=7", "--distributed=0",
+                                 "--shards=4"}})
+    EXPECT_NE(rejection(line).find("--shards"), std::string::npos);
+  EXPECT_EQ(rejection({"--soak=seed=7", "--distributed=1", "--shards=4"}), "");
+  EXPECT_EQ(rejection({"--soak=seed=7", "--faults=none", "--shards=4"}), "");
+  EXPECT_EQ(rejection({"--soak=seed=7"}), "");
 }
 
 }  // namespace

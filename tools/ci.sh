@@ -9,7 +9,9 @@
 #                          # plain and under ASan+UBSan
 #   tools/ci.sh soak       # continuous-operation gate: soaktest-labeled
 #                          # suite, plain (full streams) and under
-#                          # ASan+UBSan (capped via FDLSP_SOAK_EVENTS)
+#                          # ASan+UBSan (capped via FDLSP_SOAK_EVENTS),
+#                          # each followed by a serial-vs-sharded soak
+#                          # replay smoke
 #   tools/ci.sh lint       # fdlsp-lint over src/ (determinism/isolation)
 #   tools/ci.sh tidy       # clang-tidy (skipped when not installed)
 #   tools/ci.sh bench      # Release build + micro suites (capped min-time;
@@ -51,7 +53,8 @@ run_sanitizer() {  # $1 = preset name (asan-ubsan | tsan)
 # --faults= grammar and the oracle CLI path end to end on both reliable
 # wrappers (distMIS: synchronous, DFS: asynchronous), drives the async
 # detector through suspect -> probe -> re-trust under a whole-graph region
-# outage, and checks that a retired flag is rejected, not ignored.
+# outage, and checks that a retired flag, and a flag the run would ignore
+# (--shards without --faults), are rejected, not ignored.
 replay_smoke() {
   local replay="$1"
   local burst_smoke=(--family=grid --n=12 --density=0.5 --seed=5
@@ -63,6 +66,30 @@ replay_smoke() {
   if "${replay}" --family=ring --n=8 --seed=3 --scheduler=DFS \
     --faults=drop=0.1 --tuning=fixed >/dev/null 2>&1; then
     echo "replay accepted a retired transport flag"
+    return 1
+  fi
+  if "${replay}" --family=ring --n=8 --seed=3 --scheduler=DFS \
+    --shards=4 >/dev/null 2>&1; then
+    echo "replay accepted --shards without --faults"
+    return 1
+  fi
+}
+
+# Sharded soak replay smoke; $1 = the replay binary. With --shards=4 every
+# distributed repair runs on the pooled, sharded synchronous engine; the
+# stream's events/recolored/slots/oracle lines must match the serial replay
+# (the echoed soak: line and the wall-clock latency: line differ by design).
+soak_replay_smoke() {
+  local replay="$1"
+  local soak=(--soak=seed=3,n=60,events=100 --distributed=1)
+  local pattern='^(events|recolored|slots|soak oracles):'
+  local serial sharded
+  serial="$("${replay}" "${soak[@]}" | grep -E "${pattern}")"
+  sharded="$("${replay}" "${soak[@]}" --shards=4 | grep -E "${pattern}")"
+  if [ "$(grep -c . <<< "${serial}")" -ne 4 ] ||
+    [ "${serial}" != "${sharded}" ]; then
+    echo "sharded soak replay diverged from serial"
+    diff <(echo "${serial}") <(echo "${sharded}") || true
     return 1
   fi
 }
@@ -88,6 +115,7 @@ run_soak() {
   cmake -B build -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build -j
   ctest --test-dir build -L soaktest --output-on-failure -j "$(nproc)"
+  soak_replay_smoke ./build/examples/replay
   # Sanitizer instrumentation makes long streams slow; cap the per-test
   # event count so the gate stays minutes, not hours.
   cmake --preset asan-ubsan
@@ -95,6 +123,7 @@ run_soak() {
   FDLSP_SOAK_EVENTS="${FDLSP_SOAK_EVENTS:-200}" \
     ctest --test-dir build-asan-ubsan -L soaktest --output-on-failure \
     -j "$(nproc)"
+  soak_replay_smoke ./build-asan-ubsan/examples/replay
 }
 
 run_lint() {
