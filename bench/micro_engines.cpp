@@ -31,26 +31,28 @@ using namespace fdlsp;
 /// Gossip for a fixed number of rounds: every node rebroadcasts each round,
 /// carrying `words` int64s (words <= 4 stays inline in SmallPayload, more
 /// spills to the heap).
-class GossipProgram final : public SyncProgram {
+class GossipSet final : public SyncProgramSet {
  public:
-  explicit GossipProgram(std::size_t rounds, std::size_t words = 1)
-      : rounds_(rounds), words_(words) {}
-  void on_round(SyncContext& ctx, std::span<const Message>) override {
-    ++executed_;
+  GossipSet(std::size_t nodes, std::size_t rounds, std::size_t words = 1)
+      : rounds_(rounds), words_(words), executed_(nodes, 0) {}
+  std::size_t size() const override { return executed_.size(); }
+  void on_round(NodeId v, SyncContext& ctx,
+                std::span<const Message>) override {
+    const std::size_t executed = ++executed_[v];
     Message message;
     message.tag = 1;
     for (std::size_t w = 0; w < words_; ++w)
-      message.data.push_back(static_cast<std::int64_t>(executed_ + w));
+      message.data.push_back(static_cast<std::int64_t>(executed + w));
     ctx.broadcast(std::move(message));
   }
-  bool ready_for_phase_advance() const override { return false; }
-  void on_phase(std::size_t) override {}
-  bool finished() const override { return executed_ >= rounds_; }
+  bool ready_for_phase_advance(NodeId) const override { return false; }
+  void on_phase(NodeId, std::size_t) override {}
+  bool finished(NodeId v) const override { return executed_[v] >= rounds_; }
 
  private:
   std::size_t rounds_;
   std::size_t words_;
-  std::size_t executed_ = 0;
+  std::vector<std::size_t> executed_;  // rounds run, per node
 };
 
 void BM_SyncEngineGossip(benchmark::State& state) {
@@ -59,10 +61,8 @@ void BM_SyncEngineGossip(benchmark::State& state) {
       generate_gnm(static_cast<std::size_t>(state.range(0)),
                    static_cast<std::size_t>(state.range(0)) * 4, rng);
   for (auto _ : state) {
-    std::vector<std::unique_ptr<SyncProgram>> programs;
-    for (NodeId v = 0; v < graph.num_nodes(); ++v)
-      programs.push_back(std::make_unique<GossipProgram>(20));
-    SyncEngine engine(graph, std::move(programs));
+    GossipSet set(graph.num_nodes(), 20);
+    SyncEngine engine(graph, set);
     const SyncMetrics metrics = engine.run();
     benchmark::DoNotOptimize(metrics.messages);
     state.counters["msgs"] = static_cast<double>(metrics.messages);
@@ -78,10 +78,8 @@ void BM_SyncEngineGossipPayload(benchmark::State& state) {
   const auto words = static_cast<std::size_t>(state.range(1));
   const Graph graph = generate_gnm(n, n * 4, rng);
   for (auto _ : state) {
-    std::vector<std::unique_ptr<SyncProgram>> programs;
-    for (NodeId v = 0; v < graph.num_nodes(); ++v)
-      programs.push_back(std::make_unique<GossipProgram>(20, words));
-    SyncEngine engine(graph, std::move(programs));
+    GossipSet set(graph.num_nodes(), 20, words);
+    SyncEngine engine(graph, set);
     const SyncMetrics metrics = engine.run();
     benchmark::DoNotOptimize(metrics.messages);
     state.counters["msgs"] = static_cast<double>(metrics.messages);
@@ -105,10 +103,8 @@ void BM_SyncEngineGossipThreads(benchmark::State& state) {
   std::unique_ptr<ThreadPool> pool;
   if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
   for (auto _ : state) {
-    std::vector<std::unique_ptr<SyncProgram>> programs;
-    for (NodeId v = 0; v < graph.num_nodes(); ++v)
-      programs.push_back(std::make_unique<GossipProgram>(20, 2));
-    SyncEngine engine(graph, std::move(programs));
+    GossipSet set(graph.num_nodes(), 20, 2);
+    SyncEngine engine(graph, set);
     engine.set_thread_pool(pool.get());
     const SyncMetrics metrics = engine.run();
     benchmark::DoNotOptimize(metrics.messages);

@@ -417,30 +417,13 @@ ScheduleResult run_dist_mis(const Graph& graph,
                             const DistMisOptions& options) {
   DistMisSet set(graph, options.variant, options.seed);
   const FaultSpec spec = options.fault_spec();
-  std::size_t round_budget = kMaxRounds;
-  std::optional<SyncEngine> engine;
-  if (options.reliable) {
-    // Hardened nodes need the per-node wrapper, so the set rides behind
-    // one SetNodeProgram adapter per node.
-    std::vector<std::unique_ptr<SyncProgram>> programs;
-    programs.reserve(graph.num_nodes());
-    for (NodeId v = 0; v < graph.num_nodes(); ++v)
-      programs.push_back(std::make_unique<SetNodeProgram>(set, v));
-    round_budget *= wrap_reliable(programs, spec);
-    engine.emplace(graph, std::move(programs));
-  } else {
-    engine.emplace(graph, set);
-  }
-  const RunAttachment attached(*engine, graph, options);
-  if (options.reliable) {
-    // On this path the engine prepares the program set it drives — the
-    // vector of reliable wrappers — so the underlying SoA set must be
-    // prepared by hand, with the engine's own shard decision. This has to
-    // happen after the attachment: an attached fault plan or trace forces
-    // planned_shards() == 1.
-    set.prepare_shards(engine->planned_shards());
-  }
-  const SyncMetrics metrics = engine->run(round_budget);
+  std::optional<ReliableSyncSet> hardened;
+  if (options.reliable) hardened.emplace(set, spec);
+  SyncEngine engine(graph, hardened ? static_cast<SyncProgramSet&>(*hardened)
+                                    : set);
+  const RunAttachment attached(engine, graph, options);
+  const SyncMetrics metrics =
+      engine.run(kMaxRounds * (hardened ? hardened->round_dilation() : 1));
   // Crashed nodes cannot color their arcs, and lossy channels without the
   // reliable wrapper void the algorithm's knowledge guarantees — such runs
   // report what happened instead of aborting, and the fault oracles judge
@@ -470,9 +453,10 @@ ScheduleResult run_dist_mis(const Graph& graph,
   result.num_slots = result.coloring.num_colors_used();
   result.rounds = metrics.rounds;
   result.messages = metrics.messages;
-  if (options.reliable)
-    collect_transport(*engine, graph.num_nodes(), result.transport,
-                      &result.suspected);
+  if (hardened) {
+    result.transport = hardened->transport_stats();
+    result.suspected = hardened->suspected_peers();
+  }
   return result;
 }
 

@@ -24,8 +24,9 @@ constexpr LintRuleInfo kRules[] = {
      "map/set keyed on a pointer type orders by address, which varies across "
      "runs (ASLR); key on stable ids instead"},
     {"cross-node-state",
-     "inside SyncProgram/AsyncProgram classes: naming an engine or calling "
-     ".program()/->program() reads peer state outside the message API"},
+     "inside SyncProgramSet/AsyncProgram classes: naming an engine or "
+     "calling .program()/->program() reads peer state outside the message "
+     "API"},
     {"ordered-in-protocol-state",
      "std::map/std::set in protocol-state paths (src/sim, src/algos) or "
      "program classes: point-queried state on red-black trees allocates per "
@@ -221,7 +222,7 @@ std::vector<std::string_view> split_lines(std::string_view text) {
   return lines;
 }
 
-/// Marks the lines inside bodies of classes deriving from SyncProgram or
+/// Marks the lines inside bodies of classes deriving from SyncProgramSet or
 /// AsyncProgram, by brace counting from the declaration line.
 std::vector<char> program_regions(const std::vector<std::string_view>& lines) {
   std::vector<char> in_region(lines.size(), 0);
@@ -231,7 +232,8 @@ std::vector<char> program_regions(const std::vector<std::string_view>& lines) {
   for (std::size_t i = 0; i < lines.size(); ++i) {
     const std::string_view line = lines[i];
     if (!awaiting && !active &&
-        (has_token(line, "SyncProgram") || has_token(line, "AsyncProgram")) &&
+        (has_token(line, "SyncProgramSet") ||
+         has_token(line, "AsyncProgram")) &&
         (has_token(line, "class") || has_token(line, "struct"))) {
       awaiting = true;
       depth = 0;

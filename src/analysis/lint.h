@@ -21,7 +21,7 @@
 //                         containers are banned there outright.
 //   pointer-key         — map/set keyed on a pointer type anywhere:
 //                         address order changes across runs (ASLR).
-//   cross-node-state    — inside a class deriving from SyncProgram or
+//   cross-node-state    — inside a class deriving from SyncProgramSet or
 //                         AsyncProgram: naming SyncEngine/AsyncEngine or
 //                         calling .program(/->program( lets a simulated
 //                         node read peer state outside the message API.

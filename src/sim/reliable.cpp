@@ -22,6 +22,12 @@ std::uint64_t jitter_hash(NodeId self, NodeId peer, std::size_t attempt) {
   return splitmix64(state);
 }
 
+/// Sorts `ids` and drops repeats: the form a run reports suspicions in.
+void sort_unique(std::vector<NodeId>& ids) {
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+}
+
 // Sync pacing: retransmit intervals grow 2 -> 4 outer rounds plus one
 // hashed jitter round, so the worst spacing between attempts is 5.
 constexpr std::size_t kSyncBaseInterval = 2;
@@ -34,7 +40,7 @@ constexpr std::size_t kSyncWorstSpacing = kSyncMaxInterval + 1;
 // Synchronous wrapper: round dilation.
 // ---------------------------------------------------------------------------
 
-std::size_t ReliableSyncProgram::round_dilation(const FaultSpec& spec) {
+std::size_t ReliableSyncSet::round_dilation(const FaultSpec& spec) {
   const TransportBudgets budgets = transport_budgets(spec);
   // Pacing spaces attempts up to kSyncWorstSpacing rounds apart, and each
   // failed attempt consumes frame-channel loss budget, so delivery needs at
@@ -53,25 +59,39 @@ std::size_t ReliableSyncProgram::round_dilation(const FaultSpec& spec) {
   return dilation;
 }
 
-ReliableSyncProgram::ReliableSyncProgram(std::unique_ptr<SyncProgram> inner,
-                                         const FaultSpec& spec)
-    : inner_(std::move(inner)),
+ReliableSyncSet::ReliableSyncSet(SyncProgramSet& inner, const FaultSpec& spec)
+    : inner_(&inner),
       dilation_(round_dilation(spec)),
-      budgets_(transport_budgets(spec)) {
-  FDLSP_REQUIRE(inner_ != nullptr, "reliable wrapper needs a program");
+      budgets_(transport_budgets(spec)),
+      nodes_(inner.size()) {}
+
+TransportStats ReliableSyncSet::transport_stats() const {
+  TransportStats total;
+  for (const NodeState& node : nodes_) total.merge(node.stats);
+  return total;
 }
 
-bool ReliableSyncProgram::channels_idle() const {
-  for (const PeerState& state : peers_)
+std::vector<NodeId> ReliableSyncSet::suspected_peers() const {
+  std::vector<NodeId> suspected;
+  for (const NodeState& node : nodes_) {
+    const std::vector<NodeId> peers = ever_suspected(node.peers);
+    suspected.insert(suspected.end(), peers.begin(), peers.end());
+  }
+  sort_unique(suspected);
+  return suspected;
+}
+
+bool ReliableSyncSet::channels_idle(const NodeState& node) {
+  for (const PeerState& state : node.peers)
     if (!state.idle() || !state.buffered.empty()) return false;
   return true;
 }
 
-void ReliableSyncProgram::handle_frame(PeerState& state,
-                                       const Message& message) {
-  if (std::find(ack_due_.begin(), ack_due_.end(), state.peer()) ==
-      ack_due_.end())
-    ack_due_.push_back(state.peer());
+void ReliableSyncSet::handle_frame(NodeState& node, PeerState& state,
+                                   const Message& message) {
+  if (std::find(node.ack_due.begin(), node.ack_due.end(), state.peer()) ==
+      node.ack_due.end())
+    node.ack_due.push_back(state.peer());
   // A duplicate is just re-acked; a gap waits for go-back-N to resend.
   if (!state.accept(message.data[1])) return;
   BufferedFrame& buffered =
@@ -79,37 +99,40 @@ void ReliableSyncProgram::handle_frame(PeerState& state,
   unframe_into(buffered.original, message);
 }
 
-void ReliableSyncProgram::capture_send(SyncContext& ctx, NodeId to,
-                                       const Message& message) {
-  PeerState& state = peer_state(peers_, to);
-  const std::int64_t seq = state.stamp(stats_);
+void ReliableSyncSet::capture_send(SyncContext& ctx, NodeId to,
+                                   const Message& message) {
+  NodeState& node = nodes_[ctx.self()];
+  PeerState& state = peer_state(node.peers, to);
+  const std::int64_t seq = state.stamp(node.stats);
   if (seq == 0) return;  // dead peer: abandoned
   Message frame;
   make_frame_into(frame, ctx.self(), to, seq,
-                  static_cast<std::int64_t>(next_inner_round_), message);
+                  static_cast<std::int64_t>(node.next_inner_round), message);
   const bool was_idle = state.pending().empty();
   if (!state.queue(PendingFrame{seq, frame})) return;  // parked
   if (was_idle) state.next_retx = ctx.round() + kSyncBaseInterval;
   ctx.send(to, std::move(frame));
 }
 
-std::size_t ReliableSyncProgram::backoff_interval(const SyncContext& ctx,
-                                                  const PeerState& state) {
+std::size_t ReliableSyncSet::backoff_interval(const SyncContext& ctx,
+                                              NodeState& node,
+                                              const PeerState& state) {
   const std::size_t shift = std::min<std::size_t>(state.fails() / 2, 4);
   const std::size_t base =
       std::min<std::size_t>(kSyncBaseInterval << shift, kSyncMaxInterval);
   const std::size_t jitter =
       jitter_hash(ctx.self(), state.peer(), state.fails()) & 1;
   const std::size_t interval = base + jitter;
-  if (static_cast<double>(interval) > stats_.max_backoff)
-    stats_.max_backoff = static_cast<double>(interval);
+  if (static_cast<double>(interval) > node.stats.max_backoff)
+    node.stats.max_backoff = static_cast<double>(interval);
   return interval;
 }
 
-void ReliableSyncProgram::sweep(SyncContext& ctx, std::size_t round) {
-  for (PeerState& state : peers_) {
+void ReliableSyncSet::sweep(SyncContext& ctx, NodeState& node,
+                            std::size_t round) {
+  for (PeerState& state : node.peers) {
     if (round < state.next_retx) continue;
-    switch (state.on_deadline(budgets_, stats_)) {
+    switch (state.on_deadline(budgets_, node.stats)) {
       case PeerStep::kNone:
         // Idle or dead: sleep until capture_send or a re-trust re-arms the
         // deadline, so idle peers cost the sweep one comparison per round.
@@ -118,7 +141,7 @@ void ReliableSyncProgram::sweep(SyncContext& ctx, std::size_t round) {
       case PeerStep::kRetransmit:
         for (const PendingFrame& frame : state.pending())
           ctx.send(state.peer(), frame.frame);
-        state.next_retx = round + backoff_interval(ctx, state);
+        state.next_retx = round + backoff_interval(ctx, node, state);
         break;
       case PeerStep::kSuspect:
       case PeerStep::kProbe:
@@ -130,69 +153,72 @@ void ReliableSyncProgram::sweep(SyncContext& ctx, std::size_t round) {
   }
 }
 
-void ReliableSyncProgram::on_round(SyncContext& ctx,
-                                   std::span<const Message> inbox) {
+void ReliableSyncSet::on_round(NodeId v, SyncContext& ctx,
+                               std::span<const Message> inbox) {
+  NodeState& node = nodes_[v];
   const std::size_t round = ctx.round();
-  ack_due_.clear();
+  node.ack_due.clear();
   for (const Message& message : inbox) {
-    if (!wire_intact(ctx.self(), message)) continue;  // corrupted
-    PeerState& state = peer_state(peers_, message.from);
+    if (!wire_intact(v, message)) continue;  // corrupted
+    PeerState& state = peer_state(node.peers, message.from);
     // A re-trusted peer's resumed frames go out on this round's sweep.
     if (message.tag == kReliableFrameTag) {
-      if (state.heard(stats_)) state.next_retx = round;
-      handle_frame(state, message);
+      if (state.heard(node.stats)) state.next_retx = round;
+      handle_frame(node, state, message);
       continue;
     }
-    if (state.ack(message.data[1], stats_, nullptr)) state.next_retx = round;
+    if (state.ack(message.data[1], node.stats, nullptr))
+      state.next_retx = round;
     // A heartbeat is an ack that demands an answer: queue a reply so the
     // prober hears us.
     if (message.tag == kReliableHeartbeatTag &&
-        std::find(ack_due_.begin(), ack_due_.end(), message.from) ==
-            ack_due_.end())
-      ack_due_.push_back(message.from);
+        std::find(node.ack_due.begin(), node.ack_due.end(), message.from) ==
+            node.ack_due.end())
+      node.ack_due.push_back(message.from);
   }
-  for (NodeId peer : ack_due_)
-    ctx.send(peer, make_control(kReliableAckTag, ctx.self(), peer,
-                                peer_state(peers_, peer).received()));
-  sweep(ctx, round);
+  for (NodeId peer : node.ack_due)
+    ctx.send(peer, make_control(kReliableAckTag, v, peer,
+                                peer_state(node.peers, peer).received()));
+  sweep(ctx, node, round);
 
   // Window boundary: assemble the previous inner round's inbox and run the
-  // wrapped program one round.
+  // wrapped set one round for this node.
   if (round % dilation_ != 0) return;
-  next_inner_round_ = round / dilation_;
+  node.next_inner_round = round / dilation_;
   std::vector<Message> assembled;
-  for (PeerState& state : peers_) {
+  for (PeerState& state : node.peers) {
     for (BufferedFrame& frame : state.buffered) {
       FDLSP_REQUIRE(frame.inner_round + 1 ==
-                        static_cast<std::int64_t>(next_inner_round_),
+                        static_cast<std::int64_t>(node.next_inner_round),
                     "late frame: reliable dilation window violated");
       assembled.push_back(std::move(frame.original));
     }
     state.buffered.clear();
   }
-  // Match the engine's native semantics: a finished program runs again only
+  // Match the engine's native semantics: a finished node runs again only
   // when mail arrives for it.
-  if (inner_->finished() && assembled.empty()) return;
-  const SyncSendSink sink = [this, &ctx](NodeId to, Message message) {
+  if (inner_->finished(v) && assembled.empty()) return;
+  const SyncCaptureSink capture = [this, &ctx](NodeId to,
+                                               const Message& message) {
     capture_send(ctx, to, message);
   };
-  SyncContext inner_ctx = ctx.reframed(next_inner_round_, &sink);
-  inner_->on_round(inner_ctx, assembled);
+  SyncContext inner_ctx = ctx.reframed(node.next_inner_round, &capture);
+  inner_->on_round(v, inner_ctx, assembled);
 }
 
-bool ReliableSyncProgram::ready_for_phase_advance() const {
+bool ReliableSyncSet::ready_for_phase_advance(NodeId v) const {
   // The engine's barrier promises "no messages in flight"; at this layer
   // that means no unacked or shelved outbound frames and no buffered
-  // inbound frames the wrapped program has not consumed yet.
-  return inner_->ready_for_phase_advance() && channels_idle();
+  // inbound frames the wrapped set has not consumed yet.
+  return inner_->ready_for_phase_advance(v) && channels_idle(nodes_[v]);
 }
 
-void ReliableSyncProgram::on_phase(std::size_t new_phase) {
-  inner_->on_phase(new_phase);
+void ReliableSyncSet::on_phase(NodeId v, std::size_t new_phase) {
+  inner_->on_phase(v, new_phase);
 }
 
-bool ReliableSyncProgram::finished() const {
-  return inner_->finished() && channels_idle();
+bool ReliableSyncSet::finished(NodeId v) const {
+  return inner_->finished(v) && channels_idle(nodes_[v]);
 }
 
 // ---------------------------------------------------------------------------
@@ -438,47 +464,23 @@ bool ReliableAsyncProgram::finished() const {
 // Run helpers.
 // ---------------------------------------------------------------------------
 
-std::size_t wrap_reliable(std::vector<std::unique_ptr<SyncProgram>>& programs,
-                          const FaultSpec& spec) {
-  for (auto& program : programs)
-    program = std::make_unique<ReliableSyncProgram>(std::move(program), spec);
-  return ReliableSyncProgram::round_dilation(spec);
-}
-
 void wrap_reliable(std::vector<std::unique_ptr<AsyncProgram>>& programs,
                    const FaultSpec& spec) {
   for (auto& program : programs)
     program = std::make_unique<ReliableAsyncProgram>(std::move(program), spec);
 }
 
-namespace {
-
-template <typename Wrapper, typename Engine>
-void collect_wrappers(const Engine& engine, std::size_t nodes,
-                      TransportStats& stats, std::vector<NodeId>* suspected) {
+void collect_transport(const AsyncEngine& engine, std::size_t nodes,
+                       TransportStats& stats, std::vector<NodeId>* suspected) {
   for (NodeId v = 0; v < nodes; ++v) {
-    const auto& wrapper = static_cast<const Wrapper&>(engine.program(v));
+    const auto& wrapper =
+        static_cast<const ReliableAsyncProgram&>(engine.program(v));
     stats.merge(wrapper.transport_stats());
     if (suspected == nullptr) continue;
     const std::vector<NodeId> peers = wrapper.suspected_peers();
     suspected->insert(suspected->end(), peers.begin(), peers.end());
   }
-  if (suspected == nullptr) return;
-  std::sort(suspected->begin(), suspected->end());
-  suspected->erase(std::unique(suspected->begin(), suspected->end()),
-                   suspected->end());
-}
-
-}  // namespace
-
-void collect_transport(const SyncEngine& engine, std::size_t nodes,
-                       TransportStats& stats, std::vector<NodeId>* suspected) {
-  collect_wrappers<ReliableSyncProgram>(engine, nodes, stats, suspected);
-}
-
-void collect_transport(const AsyncEngine& engine, std::size_t nodes,
-                       TransportStats& stats, std::vector<NodeId>* suspected) {
-  collect_wrappers<ReliableAsyncProgram>(engine, nodes, stats, suspected);
+  if (suspected != nullptr) sort_unique(*suspected);
 }
 
 }  // namespace fdlsp

@@ -8,7 +8,9 @@
 // and deduplicated on receipt, and handed to the wrapped program in order.
 // The wrapped program is unchanged — it talks through a reframed context
 // (SyncContext::reframed / AsyncContext::reframed) whose sends the wrapper
-// captures, frames, and schedules.
+// captures, frames, and schedules. The synchronous wrapper is itself a
+// program set (ReliableSyncSet) over the set it hardens; the asynchronous
+// one wraps each node's program (ReliableAsyncProgram, wrap_reliable).
 //
 // Why this terminates under a FaultPlan: losses per channel are bounded
 // (FaultSpec::max_losses_per_channel i.i.d.+PRR, FaultSpec::burst_cap for
@@ -35,7 +37,10 @@
 // inner inbox for round k is assembled — sorted by (peer, sequence) for
 // determinism — once the window guarantees every round-k frame has landed.
 // A frame surfacing after its assembly point would mean the window math is
-// wrong and fails loudly.
+// wrong and fails loudly. Each node's transport state lives in one slot of
+// a node-indexed vector that only that node's callbacks touch, so the
+// hardened set shards exactly like the set it wraps: the wrapper forwards
+// prepare_shards, and the reframed context keeps the engine's shard().
 //
 // Asynchronous wrapper — timer retransmit. Unacked frames are retransmitted
 // on a timer (AsyncContext::set_timer) whose RTO derives from a per-peer
@@ -57,14 +62,14 @@
 
 namespace fdlsp {
 
-/// Reliable-delivery wrapper for the synchronous engine (round dilation).
-class ReliableSyncProgram final : public SyncProgram {
+/// Reliable-delivery wrapper for the synchronous engine (round dilation):
+/// a program set that hardens every node of an inner set.
+class ReliableSyncSet final : public SyncProgramSet {
  public:
-  /// `spec` must be the spec of the FaultPlan installed on the engine: the
-  /// dilation factor and the detector budgets are derived from its loss
-  /// bounds.
-  ReliableSyncProgram(std::unique_ptr<SyncProgram> inner,
-                      const FaultSpec& spec);
+  /// `inner` is not owned and must outlive the wrapper. `spec` must be the
+  /// spec of the FaultPlan installed on the engine: the dilation factor
+  /// and the detector budgets are derived from its loss bounds.
+  ReliableSyncSet(SyncProgramSet& inner, const FaultSpec& spec);
 
   /// Outer rounds per inner round: the retransmission window sized so that
   /// bounded per-channel loss (i.i.d. + PRR + burst budgets), every finite
@@ -72,19 +77,24 @@ class ReliableSyncProgram final : public SyncProgram {
   /// a frame past its assembly point.
   static std::size_t round_dilation(const FaultSpec& spec);
 
-  /// The wrapped program (result extraction after a run).
-  const SyncProgram& inner() const noexcept { return *inner_; }
+  /// This wrapper's dilation: the factor a run's round budget scales by.
+  std::size_t round_dilation() const noexcept { return dilation_; }
 
-  /// Transport-layer work counters for this node.
-  const TransportStats& transport_stats() const noexcept { return stats_; }
+  /// Transport-layer work counters summed over every node.
+  TransportStats transport_stats() const;
 
-  /// Peers this node's detector ever moved to kSuspected, ascending.
-  std::vector<NodeId> suspected_peers() const { return ever_suspected(peers_); }
+  /// Peers any node's detector ever moved to kSuspected, sorted and unique.
+  std::vector<NodeId> suspected_peers() const;
 
-  void on_round(SyncContext& ctx, std::span<const Message> inbox) override;
-  bool ready_for_phase_advance() const override;
-  void on_phase(std::size_t new_phase) override;
-  bool finished() const override;
+  std::size_t size() const override { return nodes_.size(); }
+  void prepare_shards(std::size_t shards) override {
+    inner_->prepare_shards(shards);
+  }
+  void on_round(NodeId v, SyncContext& ctx,
+                std::span<const Message> inbox) override;
+  bool ready_for_phase_advance(NodeId v) const override;
+  void on_phase(NodeId v, std::size_t new_phase) override;
+  bool finished(NodeId v) const override;
 
  private:
   struct BufferedFrame {
@@ -96,20 +106,26 @@ class ReliableSyncProgram final : public SyncProgram {
     std::size_t next_retx = 0;  // outer round of the next retransmit/probe
     std::vector<BufferedFrame> buffered;  // awaiting inner-round assembly
   };
+  /// One node's transport state; touched only by that node's callbacks.
+  struct NodeState {
+    std::size_t next_inner_round = 0;  // next inner round to execute
+    std::vector<PeerState> peers;      // sorted by peer id
+    std::vector<NodeId> ack_due;       // peers to ack this round
+    TransportStats stats;
+  };
 
   void capture_send(SyncContext& ctx, NodeId to, const Message& message);
-  void handle_frame(PeerState& state, const Message& message);
-  void sweep(SyncContext& ctx, std::size_t round);
-  std::size_t backoff_interval(const SyncContext& ctx, const PeerState& state);
-  bool channels_idle() const;
+  void sweep(SyncContext& ctx, NodeState& node, std::size_t round);
+  static void handle_frame(NodeState& node, PeerState& state,
+                           const Message& message);
+  static std::size_t backoff_interval(const SyncContext& ctx, NodeState& node,
+                                      const PeerState& state);
+  static bool channels_idle(const NodeState& node);
 
-  std::unique_ptr<SyncProgram> inner_;
+  SyncProgramSet* inner_;
   std::size_t dilation_;
   TransportBudgets budgets_;
-  std::size_t next_inner_round_ = 0;  // next inner round to execute
-  std::vector<PeerState> peers_;      // sorted by peer id
-  std::vector<NodeId> ack_due_;       // peers to ack this round
-  TransportStats stats_;
+  std::vector<NodeState> nodes_;  // indexed by node id
 };
 
 /// Reliable-delivery wrapper for the asynchronous engine (timer retransmit).
@@ -172,22 +188,14 @@ class ReliableAsyncProgram final : public AsyncProgram {
   TransportStats stats_;
 };
 
-/// Hardens every program of a per-node vector with the synchronous wrapper.
-/// `spec` must be the spec of the FaultPlan the engine will run under.
-/// Returns round_dilation(spec), the factor the run's round budget scales
-/// by.
-std::size_t wrap_reliable(std::vector<std::unique_ptr<SyncProgram>>& programs,
-                          const FaultSpec& spec);
-
 /// Hardens every program of a per-node vector with the asynchronous wrapper.
+/// `spec` must be the spec of the FaultPlan the engine will run under.
 void wrap_reliable(std::vector<std::unique_ptr<AsyncProgram>>& programs,
                    const FaultSpec& spec);
 
 /// After a run over wrap_reliable'd programs: sums every node's transport
 /// counters into `stats` and, when `suspected` is non-null, stores the
 /// union of the nodes' suspicions there, sorted and unique.
-void collect_transport(const SyncEngine& engine, std::size_t nodes,
-                       TransportStats& stats, std::vector<NodeId>* suspected);
 void collect_transport(const AsyncEngine& engine, std::size_t nodes,
                        TransportStats& stats, std::vector<NodeId>* suspected);
 

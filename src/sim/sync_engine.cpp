@@ -16,10 +16,6 @@ void SyncContext::send(NodeId to, Message message) {
     (*capture_)(to, message);
     return;
   }
-  if (sink_ != nullptr) {
-    (*sink_)(to, std::move(message));
-    return;
-  }
   if (lanes_ != nullptr) {
     // Parallel round: validate against this shard's ChannelTable slice
     // (shard-local memory, doubles as the neighbor proof) and buffer the
@@ -40,10 +36,6 @@ void SyncContext::send_trusted(NodeId to, Message message) {
     (*capture_)(to, message);
     return;
   }
-  if (sink_ != nullptr) {
-    (*sink_)(to, std::move(message));
-    return;
-  }
   if (lanes_ != nullptr) {
     lanes_[plan_.shard_of(to)].add(to, std::move(message));
     return;
@@ -54,18 +46,10 @@ void SyncContext::send_trusted(NodeId to, Message message) {
 // fdlsp-lint: hot — per-message steady-state path, no allocator traffic
 void SyncContext::send_trusted_copy(NodeId to, const Message& message) {
   if (capture_ != nullptr) {
-    // The capture sink borrows: no temporary, no ownership transfer — the
-    // zero-alloc twin of the owning-sink branch below. The sink knows the
-    // sending node; `from` stays whatever the caller's scratch holds.
+    // The capture sink borrows: no temporary, no ownership transfer. The
+    // sink knows the sending node; `from` stays whatever the caller's
+    // scratch holds.
     (*capture_)(to, message);
-    return;
-  }
-  if (sink_ != nullptr) {
-    // Sinks take ownership; materialize the copy they expect (the reliable
-    // wrapper's framing path, never the zero-alloc hot path).
-    Message copy = message;
-    copy.from = self_;
-    (*sink_)(to, std::move(copy));
     return;
   }
   if (lanes_ != nullptr) {
@@ -91,22 +75,6 @@ void SyncContext::broadcast(const Message& message) {
     send_trusted_copy(neighbor.to, message);
 }
 
-SyncEngine::SyncEngine(const Graph& graph,
-                       std::vector<std::unique_ptr<SyncProgram>> programs)
-    : graph_(graph),
-      owned_(std::make_unique<VectorProgramSet>(std::move(programs))),
-      set_(owned_.get()) {
-  FDLSP_REQUIRE(set_->size() == graph_.num_nodes(),
-                "one program per node required");
-  const std::size_t n = graph_.num_nodes();
-  inbox_.resize(n);
-  next_inbox_.resize(n);
-  inbox_count_.assign(n, 0);
-  next_count_.assign(n, 0);
-  dirty_inbox_.resize(1);  // serial path uses bucket 0
-  dirty_next_.resize(1);
-}
-
 SyncEngine::SyncEngine(const Graph& graph, SyncProgramSet& set)
     : graph_(graph), set_(&set) {
   FDLSP_REQUIRE(set_->size() == graph_.num_nodes(),
@@ -116,7 +84,7 @@ SyncEngine::SyncEngine(const Graph& graph, SyncProgramSet& set)
   next_inbox_.resize(n);
   inbox_count_.assign(n, 0);
   next_count_.assign(n, 0);
-  dirty_inbox_.resize(1);
+  dirty_inbox_.resize(1);  // serial path uses bucket 0
   dirty_next_.resize(1);
 }
 
@@ -289,13 +257,11 @@ SyncMetrics SyncEngine::run(std::size_t max_rounds) {
   // observes callback/send order and a fault plan mutates per-message
   // state, so either forces the serial path (they are observation and
   // adversary channels, not hot paths). planned_shards() folds the whole
-  // predicate: it returns 1 whenever a seam forces serial.
-  // (The on_worker_thread check keeps a pooled engine nested inside a
-  // pooled sweep on the same pool from waiting for its own task.)
-  const bool parallel =
-      pool_ != nullptr && trace_ == nullptr && faults_ == nullptr && n > 0 &&
-      !pool_->on_worker_thread();
-  const std::size_t shards = parallel ? planned_shards() : 1;
+  // predicate — it returns 1 whenever a seam forces serial, including a
+  // pooled engine nested in a pooled sweep on the same pool, which must
+  // not wait for its own task — and one planned shard runs serially.
+  const std::size_t shards = planned_shards();
+  const bool parallel = shards > 1;
   // Program sets size per-shard scratch here, before any callback runs.
   // The serial path prepares for exactly one shard (ctx.shard() == 0).
   set_->prepare_shards(shards);
@@ -478,9 +444,7 @@ SyncMetrics SyncEngine::run(std::size_t max_rounds) {
         for (NodeId v = 0; v < n; ++v) {
           if (is_down(v)) continue;
           if (trace_ != nullptr) trace_->on_local_step(v);
-          current_node_ = v;
           set_->on_phase(v, phase);
-          current_node_ = kNoNode;
           refresh(v);
         }
       }
@@ -532,9 +496,7 @@ SyncMetrics SyncEngine::run(std::size_t max_rounds) {
           trace_->on_local_step(v);
         }
         SyncContext ctx(this, v, graph_.neighbors(v), metrics.rounds, phase);
-        current_node_ = v;
         set_->on_round(v, ctx, inbox);
-        current_node_ = kNoNode;
         refresh(v);
       }
     }

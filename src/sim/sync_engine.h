@@ -14,25 +14,30 @@
 // substitution; round counts reported by the engine are the communication
 // rounds actually consumed.
 //
+// Programs: the engine drives one SyncProgramSet, an indexed-callback
+// interface that owns every node's state (DESIGN.md §14). It is the only
+// program interface — every synchronous protocol, and the reliable
+// wrapper that hardens one (sim/reliable.h), is written as a set.
+//
 // Sharded parallel rounds (DESIGN.md §11, §14): node callbacks are
-// protocol-isolated — a program only touches its own state and the
-// read-only graph (enforced by fdlsp-lint and the happens-before checker) —
-// so with a ThreadPool attached the engine partitions the node id space
-// into contiguous shards and runs each shard's callbacks on a worker. Each
-// shard owns its slice of state: its nodes' inbox slabs, a ChannelTable
-// slice for send-side validation, and an S-lane row of send slabs, one
-// lane per destination shard. After the round barrier a second parallel
-// dispatch merges, per destination shard, the lanes addressed to it in
-// ascending source-shard order — which reproduces the serial (sender id,
-// send order) enqueue order exactly, so the run is byte-identical to the
-// serial engine for any shard count. Trace and fault seams force the
-// serial path: they are observation/adversary channels, not hot paths, and
-// their event ordering contracts stay exactly as documented.
+// protocol-isolated — a node's callback only touches that node's state, its
+// shard's scratch and the read-only graph (fdlsp-lint's cross-node-state
+// rule checks every set's body) — so with a ThreadPool attached the engine
+// partitions the node id space into contiguous shards and runs each
+// shard's callbacks on a worker. Each shard owns its slice of state: its
+// nodes' inbox slabs, a ChannelTable slice for send-side validation, and
+// an S-lane row of send slabs, one lane per destination shard. After the
+// round barrier a second parallel dispatch merges, per destination shard,
+// the lanes addressed to it in ascending source-shard order — which
+// reproduces the serial (sender id, send order) enqueue order exactly, so
+// the run is byte-identical to the serial engine for any shard count.
+// Trace and fault seams force the serial path: they are
+// observation/adversary channels, not hot paths, and their event ordering
+// contracts stay exactly as documented.
 #pragma once
 
 #include <algorithm>
 #include <functional>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -49,15 +54,12 @@ class AllocAudit;
 class SyncEngine;
 class ThreadPool;
 
-/// Capture target for a reframed context's sends (see SyncContext::reframed).
-using SyncSendSink = std::function<void(NodeId to, Message message)>;
-
-/// Non-owning capture target (see SyncContext::external): the sink borrows
-/// the message for the duration of the call — it must copy what it keeps —
-/// and the message's `from` field is unspecified (the capturing layer knows
-/// which node it drives). This is the zero-alloc twin of SyncSendSink: a
-/// spilled payload is never materialized into a temporary per receiver, so
-/// a capture layer with recycled buffers (sim/synchronizer.h) adds no
+/// Capture target for a context's sends (see SyncContext::reframed and
+/// SyncContext::external): the sink borrows the message for the duration
+/// of the call — it must copy what it keeps — and the message's `from`
+/// field is unspecified (the capturing layer knows which node it drives).
+/// A spilled payload is never materialized into a temporary per receiver,
+/// so a capture layer with recycled buffers (sim/synchronizer.h) adds no
 /// allocator traffic to a program's steady state.
 using SyncCaptureSink = std::function<void(NodeId to, const Message& message)>;
 
@@ -178,24 +180,26 @@ class SyncContext {
   /// this node's id regardless.
   void broadcast(const Message& message);
 
-  /// A copy of this context for a protocol layered *inside* another program
-  /// (sim/reliable.h): round() reports the wrapped protocol's own round
-  /// counter and send()/broadcast() feed `sink` instead of the engine, so
-  /// the outer program can frame and schedule the traffic itself. `sink`
-  /// must outlive the copy.
-  SyncContext reframed(std::size_t round, const SyncSendSink* sink) const {
+  /// A copy of this context for a program set layered *inside* another
+  /// (sim/reliable.h): round() reports the wrapped set's own round counter
+  /// and send()/broadcast() feed `capture` instead of the engine, so the
+  /// outer set can frame and schedule the traffic itself. self(), shard()
+  /// and neighbors() are unchanged, so the wrapped set indexes its state
+  /// and per-shard scratch exactly as it would unwrapped. `capture` must
+  /// be non-null and outlive the copy.
+  SyncContext reframed(std::size_t round,
+                       const SyncCaptureSink* capture) const {
+    FDLSP_REQUIRE(capture != nullptr, "reframed contexts need a capture sink");
     SyncContext copy = *this;
     copy.round_ = round;
-    copy.sink_ = sink;
+    copy.capture_ = capture;
     return copy;
   }
 
-  /// A detached context for harness layers that drive SyncPrograms outside
+  /// A detached context for harness layers that drive program sets outside
   /// a SyncEngine (the round synchronizer, sim/synchronizer.h): there is no
   /// engine behind it — send()/broadcast() feed `capture`, which must be
-  /// non-null and outlive the context. Unlike the owning SyncSendSink seam,
-  /// the capture sink borrows each message (see SyncCaptureSink), so the
-  /// hot path stays allocation-free.
+  /// non-null and outlive the context.
   static SyncContext external(NodeId self,
                               std::span<const NeighborEntry> neighbors,
                               std::size_t round, std::size_t phase,
@@ -233,8 +237,7 @@ class SyncContext {
   std::span<const NeighborEntry> neighbors_;
   std::size_t round_;
   std::size_t phase_;
-  const SyncSendSink* sink_ = nullptr;  // non-null: capture instead of send
-  // Non-null: borrow-capture instead of send (external contexts only).
+  // Non-null: capture instead of send (reframed and external contexts).
   const SyncCaptureSink* capture_ = nullptr;
   // Non-null on parallel rounds: the executing shard's row of per-
   // destination-shard send lanes. Sends are buffered in
@@ -246,35 +249,13 @@ class SyncContext {
   const ChannelTable* channels_ = nullptr;  // shard-local send validation
 };
 
-/// A node program for the synchronous engine.
-class SyncProgram {
- public:
-  virtual ~SyncProgram() = default;
-
-  /// Executes one round: consume this round's inbox, send next round's
-  /// messages. Called once per round for every node, in unspecified order
-  /// (sends are buffered, so order cannot be observed).
-  virtual void on_round(SyncContext& ctx, std::span<const Message> inbox) = 0;
-
-  /// True when this node is ready for the current phase to end. The engine
-  /// advances the phase (calling on_phase on everyone) once all nodes vote
-  /// ready *and* no messages are in flight.
-  virtual bool ready_for_phase_advance() const = 0;
-
-  /// Notification that the global phase counter advanced.
-  virtual void on_phase(std::size_t new_phase) = 0;
-
-  /// True when this node has terminated. The run ends when all nodes have.
-  virtual bool finished() const = 0;
-};
-
-/// A whole population of node programs behind one object — the
-/// structure-of-arrays seam (DESIGN.md §14). Where the per-node SyncProgram
-/// interface forces one heap object per node, a set keeps hot per-node
-/// state in parallel arrays indexed by node id and per-shard scratch
-/// indexed by ctx.shard(), so a shard's round touches dense shard-local
-/// memory. The engine calls exactly the same callbacks, just with the node
-/// id made explicit.
+/// The node programs of a synchronous run: a whole population behind one
+/// object, with the node id explicit in every callback (DESIGN.md §14). A
+/// set keeps hot per-node state in parallel arrays (or one value per node)
+/// indexed by node id and per-shard scratch indexed by ctx.shard(), so a
+/// shard's round touches dense shard-local memory with no heap object per
+/// node. A callback for node v may touch only v's state and the scratch
+/// of ctx.shard(): shards run concurrently.
 class SyncProgramSet {
  public:
   virtual ~SyncProgramSet() = default;
@@ -291,66 +272,23 @@ class SyncProgramSet {
   /// error once real state exists.
   virtual void prepare_shards(std::size_t shards) { (void)shards; }
 
-  /// Per-node callbacks; semantics exactly as in SyncProgram.
+  /// Executes one round of node v: consume this round's inbox, send next
+  /// round's messages. Called once per round for every node that has not
+  /// finished or has mail, in unspecified order (sends are buffered, so
+  /// order cannot be observed).
   virtual void on_round(NodeId v, SyncContext& ctx,
                         std::span<const Message> inbox) = 0;
+
+  /// True when node v is ready for the current phase to end. The engine
+  /// advances the phase (calling on_phase for every node) once all nodes
+  /// vote ready *and* no messages are in flight.
   virtual bool ready_for_phase_advance(NodeId v) const = 0;
+
+  /// Notification to node v that the global phase counter advanced.
   virtual void on_phase(NodeId v, std::size_t new_phase) = 0;
+
+  /// True when node v has terminated. The run ends when all nodes have.
   virtual bool finished(NodeId v) const = 0;
-};
-
-/// Adapter: the classic one-heap-object-per-node program vector behind the
-/// SyncProgramSet interface. The engine's per-node-program constructor
-/// wraps its vector in one of these, so every existing protocol runs on
-/// the sharded engine unchanged.
-class VectorProgramSet final : public SyncProgramSet {
- public:
-  explicit VectorProgramSet(std::vector<std::unique_ptr<SyncProgram>> programs)
-      : programs_(std::move(programs)) {}
-
-  std::size_t size() const override { return programs_.size(); }
-  void on_round(NodeId v, SyncContext& ctx,
-                std::span<const Message> inbox) override {
-    programs_[v]->on_round(ctx, inbox);
-  }
-  bool ready_for_phase_advance(NodeId v) const override {
-    return programs_[v]->ready_for_phase_advance();
-  }
-  void on_phase(NodeId v, std::size_t new_phase) override {
-    programs_[v]->on_phase(new_phase);
-  }
-  bool finished(NodeId v) const override { return programs_[v]->finished(); }
-
-  SyncProgram& program(NodeId v) { return *programs_[v]; }
-  const SyncProgram& program(NodeId v) const { return *programs_[v]; }
-
- private:
-  std::vector<std::unique_ptr<SyncProgram>> programs_;
-};
-
-/// Adapter in the other direction: one node's view of a SyncProgramSet as
-/// a standalone SyncProgram. This is how a set-backed protocol composes
-/// with per-node wrappers (sim/reliable.h hardens each node separately);
-/// the set must outlive the adapter.
-class SetNodeProgram final : public SyncProgram {
- public:
-  SetNodeProgram(SyncProgramSet& set, NodeId self)
-      : set_(&set), self_(self) {}
-
-  void on_round(SyncContext& ctx, std::span<const Message> inbox) override {
-    set_->on_round(self_, ctx, inbox);
-  }
-  bool ready_for_phase_advance() const override {
-    return set_->ready_for_phase_advance(self_);
-  }
-  void on_phase(std::size_t new_phase) override {
-    set_->on_phase(self_, new_phase);
-  }
-  bool finished() const override { return set_->finished(self_); }
-
- private:
-  SyncProgramSet* set_;
-  NodeId self_;
 };
 
 /// Metrics of a synchronous run.
@@ -362,16 +300,12 @@ struct SyncMetrics {
   FaultStats faults;         ///< injected faults (all zero without a plan)
 };
 
-/// Drives a set of SyncPrograms over a communication graph.
+/// Drives a SyncProgramSet over a communication graph.
 class SyncEngine {
  public:
-  /// The graph must outlive the engine. One program per node, same order.
-  SyncEngine(const Graph& graph,
-             std::vector<std::unique_ptr<SyncProgram>> programs);
-
-  /// Structure-of-arrays form: the set is not owned and must outlive the
-  /// engine. program() is unavailable on this path — extract results from
-  /// the set itself.
+  /// Neither the graph nor the set is owned; both must outlive the engine.
+  /// The set must hold one program per node. Results are read from the set
+  /// after run().
   SyncEngine(const Graph& graph, SyncProgramSet& set);
 
   /// Runs until every program reports finished() or the round cap is hit.
@@ -419,24 +353,6 @@ class SyncEngine {
   /// Not owned; must outlive the run.
   void set_alloc_audit(AllocAudit* audit) noexcept { alloc_audit_ = audit; }
 
-  /// Program of node v (for extracting results after the run). Only valid
-  /// with the per-node-program constructor; a set-backed engine has no
-  /// per-node program objects. Calling this from inside a program callback
-  /// for a node other than the one executing is a cross-node state read and
-  /// is reported to the attached trace.
-  SyncProgram& program(NodeId v) {
-    FDLSP_REQUIRE(owned_ != nullptr,
-                  "program() requires the per-node-program constructor");
-    note_program_access(v);
-    return owned_->program(v);
-  }
-  const SyncProgram& program(NodeId v) const {
-    FDLSP_REQUIRE(owned_ != nullptr,
-                  "program() requires the per-node-program constructor");
-    note_program_access(v);
-    return owned_->program(v);
-  }
-
  private:
   friend class SyncContext;
   void deliver(NodeId from, NodeId to, Message&& message);
@@ -447,14 +363,8 @@ class SyncEngine {
   void enqueue_copy(NodeId from, NodeId to, const Message& message);
   Message& next_slot(NodeId to, std::size_t words, std::vector<NodeId>& dirty);
 
-  void note_program_access(NodeId v) const {
-    if (trace_ != nullptr && current_node_ != kNoNode && current_node_ != v)
-      trace_->on_state_read(current_node_, v);
-  }
-
   const Graph& graph_;
-  std::unique_ptr<VectorProgramSet> owned_;  // per-node-program ctor only
-  SyncProgramSet* set_;                      // the programs driving the run
+  SyncProgramSet* set_;  // the programs driving the run
   // Inbox slabs: per-node message vectors with a separately tracked live
   // count. Between rounds only the counts of the boxes named in the dirty
   // lists are rewound — the Message elements beyond the count stay alive,
@@ -488,7 +398,6 @@ class SyncEngine {
   ChannelTable channels_;                     // fault path only
   std::vector<std::uint64_t> channel_posts_;  // fault path only
   std::size_t current_round_ = 0;             // fault path only
-  NodeId current_node_ = kNoNode;  // node whose callback is executing
 };
 
 }  // namespace fdlsp

@@ -2,8 +2,9 @@
 // analysis.
 //
 // Both engines optionally report their primitive events — a node starting a
-// local computation step, a message send, a message delivery, and any
-// mid-run access to another node's program object — to a SimTrace observer.
+// local computation step, a message send, a message delivery, and (on the
+// asynchronous engine) any mid-run access to another node's program object
+// — to a SimTrace observer.
 // The hook exists so analyses (the vector-clock happens-before checker in
 // src/analysis/happens_before.h, future schedule recorders) can be woven
 // into a run without touching the hot path: with no trace attached every
@@ -18,10 +19,13 @@
 //     after any on_deliver events for the messages that callback consumes.
 //   * on_state_read(reader, owner) fires when the program of `reader`,
 //     while executing, obtains the program object of a different node
-//     `owner` through SyncEngine::program() / AsyncEngine::program() — the
-//     only sanctioned way simulated nodes share an address space. Reads
-//     performed outside any program callback (the drivers collecting
-//     results after run()) are not reported.
+//     `owner` through AsyncEngine::program() — the only sanctioned way
+//     simulated nodes share an address space. Reads performed outside any
+//     program callback (the runners collecting results after run()) are not
+//     reported. The synchronous engine hands out no per-node program
+//     objects — its programs are one SyncProgramSet, whose isolation
+//     fdlsp-lint's cross-node-state rule checks — so it never fires this
+//     event.
 #pragma once
 
 #include "graph/types.h"

@@ -16,7 +16,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -331,10 +330,22 @@ TEST(ShardedEngine, FaultPlanForcesSerialPathWithShardingConfigured) {
   }
   // The seam decision itself, stated directly on the engine: pool + shards
   // configured, but an installed fault plan pins the plan to one shard.
+  // The set never runs; it only gives the engine its node count.
+  class InertSet final : public SyncProgramSet {
+   public:
+    explicit InertSet(std::size_t nodes) : nodes_(nodes) {}
+    std::size_t size() const override { return nodes_; }
+    void on_round(NodeId, SyncContext&, std::span<const Message>) override {}
+    bool ready_for_phase_advance(NodeId) const override { return true; }
+    void on_phase(NodeId, std::size_t) override {}
+    bool finished(NodeId) const override { return true; }
+
+   private:
+    std::size_t nodes_;
+  };
   const Graph graph = materialize(scenarios.front());
-  std::vector<std::unique_ptr<SyncProgram>> none;
-  for (NodeId v = 0; v < graph.num_nodes(); ++v) none.push_back(nullptr);
-  SyncEngine engine(graph, std::move(none));
+  InertSet none(graph.num_nodes());
+  SyncEngine engine(graph, none);
   engine.set_thread_pool(&pool);
   engine.set_shards(4);
   EXPECT_EQ(engine.planned_shards(), 4u);
@@ -344,24 +355,47 @@ TEST(ShardedEngine, FaultPlanForcesSerialPathWithShardingConfigured) {
 }
 
 TEST(ShardedEngine, ReliableWrapperRunsShardedAndMatchesSerial) {
-  // The reliable path drives the SoA set through per-node adapters; the
-  // sharded run must still match the serial one byte-for-byte.
+  // The reliable wrapper is a program set over the set it hardens and
+  // forwards the engine's shard count to it. With no fault spec nothing
+  // forces the serial path, so every set-backed runner — DistMIS,
+  // randomized and the distributed repair — really runs hardened and
+  // sharded, and must still match the serial run byte-for-byte.
   const std::vector<Scenario> scenarios = sample_scenarios(4, 0xab1e, 16);
+  constexpr std::size_t kShardCounts[] = {2, 4, 8};
   ThreadPool pool(4);
   for (const Scenario& scenario : scenarios) {
     const Graph graph = materialize(scenario);
-    DistMisOptions serial_options;
-    serial_options.seed = scenario.seed;
-    serial_options.reliable = true;
-    const ScheduleResult serial = run_dist_mis(graph, serial_options);
-    DistMisOptions sharded_options = serial_options;
-    sharded_options.pool = &pool;
-    sharded_options.shards = 4;
-    const ScheduleResult sharded = run_dist_mis(graph, sharded_options);
-    ASSERT_EQ(serial.coloring.raw(), sharded.coloring.raw())
-        << repro_command(scenario, SchedulerKind::kDistMisGbg);
-    EXPECT_EQ(serial.rounds, sharded.rounds);
-    EXPECT_EQ(serial.messages, sharded.messages);
+    for (const SchedulerKind kind :
+         {SchedulerKind::kDistMisGbg, SchedulerKind::kRandomized}) {
+      const ScheduleResult serial =
+          run_scheduler(kind, graph, scenario.seed, {.reliable = true});
+      for (const std::size_t shards : kShardCounts) {
+        const ScheduleResult sharded = run_scheduler(
+            kind, graph, scenario.seed,
+            {.reliable = true, .pool = &pool, .shards = shards});
+        ASSERT_EQ(serial.coloring.raw(), sharded.coloring.raw())
+            << "shards=" << shards << " " << repro_command(scenario, kind);
+        EXPECT_EQ(serial.rounds, sharded.rounds);
+        EXPECT_EQ(serial.messages, sharded.messages);
+      }
+    }
+    const ArcView view(graph);
+    ArcColoring stale = greedy_coloring(view);
+    for (ArcId a = 0; a < stale.num_arcs(); a += 3) stale.clear(a);
+    const DistRepairResult serial = run_distributed_repair(
+        graph, stale, scenario.seed, {.reliable = true});
+    for (const std::size_t shards : kShardCounts) {
+      const DistRepairResult sharded = run_distributed_repair(
+          graph, stale, scenario.seed,
+          {.reliable = true, .pool = &pool, .shards = shards});
+      ASSERT_EQ(serial.coloring.raw(), sharded.coloring.raw())
+          << "repair shards=" << shards << " family="
+          << family_name(scenario.family) << " n=" << scenario.n
+          << " density=" << scenario.density << " seed=" << scenario.seed;
+      EXPECT_EQ(serial.recolored_arcs, sharded.recolored_arcs);
+      EXPECT_EQ(serial.rounds, sharded.rounds);
+      EXPECT_EQ(serial.messages, sharded.messages);
+    }
   }
 }
 

@@ -167,11 +167,11 @@ TEST(LintPointerKey, ValueTypePointersAreFine) {
   EXPECT_TRUE(diagnostics.empty());
 }
 
-// A fixture class that derives from SyncProgram and breaks isolation in the
+// A fixture class that derives from SyncProgramSet and breaks isolation in the
 // two ways the rule recognises: naming an engine type and calling
 // .program() / ->program().
 constexpr const char* kPeekingProgram =
-    "class BadProgram : public SyncProgram {\n"
+    "class BadProgram : public SyncProgramSet {\n"
     " public:\n"
     "  void on_round(SyncContext& ctx, std::span<const Message> inbox) {\n"
     "    auto& peer = engine_->program(self_ + 1);\n"
@@ -203,7 +203,7 @@ TEST(LintCrossNodeState, SameCodeOutsideProgramClassesIsFine) {
 TEST(LintCrossNodeState, ForwardDeclarationOpensNoRegion) {
   const auto diagnostics = lint_source(
       kDetPath,
-      "class SyncProgram;\n"
+      "class SyncProgramSet;\n"
       "SyncEngine* global_engine;\n");
   EXPECT_TRUE(diagnostics.empty());
 }
@@ -242,7 +242,7 @@ TEST(LintAllow, EveryRuleHasAWorkingEscapeHatch) {
       // does not also fire on the same std::map.
       {"pointer-key", kFreePath, "std::map<Node*, int> m;\n"},
       {"cross-node-state", kDetPath,
-       "struct P : SyncProgram {\n  SyncEngine* engine_;\n};\n"},
+       "struct P : SyncProgramSet {\n  SyncEngine* engine_;\n};\n"},
       {"ordered-in-protocol-state", kDetPath, "std::set<int> ids;\n"},
       {"heap-in-hot-path", kFreePath,
        "// fdlsp-lint: hot\nvoid send() {\n  auto p = new int;\n}\n"},
@@ -326,7 +326,7 @@ TEST(LintOrderedInProtocolState, FiresInsideProgramClassesAnywhere) {
   // still applies inside a program class body.
   const auto diagnostics = lint_source(
       "src/coloring/fixture.cpp",
-      "struct P : SyncProgram {\n"
+      "struct P : SyncProgramSet {\n"
       "  std::set<int> pending_;\n"
       "};\n"
       "std::set<int> driver_scratch;\n");

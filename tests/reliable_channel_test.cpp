@@ -32,15 +32,15 @@ FaultSpec lossy_spec() {
 
 TEST(ReliableChannelTest, RoundDilationGrowsWithLossBudget) {
   FaultSpec spec;
-  const std::size_t base = ReliableSyncProgram::round_dilation(spec);
+  const std::size_t base = ReliableSyncSet::round_dilation(spec);
   EXPECT_GT(base, 1u);
   spec.max_losses_per_channel *= 4;
-  EXPECT_GT(ReliableSyncProgram::round_dilation(spec), base);
+  EXPECT_GT(ReliableSyncSet::round_dilation(spec), base);
   // A churn window extends the retransmission window further.
   spec.link_down_fraction = 0.5;
   spec.link_down_duration = 6.0;
-  const std::size_t churned = ReliableSyncProgram::round_dilation(spec);
-  EXPECT_GT(churned, ReliableSyncProgram::round_dilation(lossy_spec()));
+  const std::size_t churned = ReliableSyncSet::round_dilation(spec);
+  EXPECT_GT(churned, ReliableSyncSet::round_dilation(lossy_spec()));
 }
 
 class ReliableSyncSchedulers

@@ -1,7 +1,8 @@
 // Tests for the synchronous LOCAL-model engine.
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <algorithm>
+#include <vector>
 
 #include "graph/generators.h"
 #include "sim/sync_engine.h"
@@ -12,232 +13,210 @@ namespace {
 
 /// Floods the maximum node id seen so far; node v finishes when it has been
 /// stable for `diameter` rounds. Classic leader-election-by-flooding.
-class MaxFloodProgram final : public SyncProgram {
+class MaxFloodSet final : public SyncProgramSet {
  public:
-  MaxFloodProgram(NodeId self, std::size_t quiet_rounds_needed)
-      : best_(self), quiet_needed_(quiet_rounds_needed) {}
+  MaxFloodSet(std::size_t nodes, std::size_t quiet_rounds_needed)
+      : best_(nodes), quiet_(nodes, 0), quiet_needed_(quiet_rounds_needed) {
+    for (NodeId v = 0; v < nodes; ++v) best_[v] = v;
+  }
 
-  void on_round(SyncContext& ctx, std::span<const Message> inbox) override {
-    NodeId before = best_;
+  std::size_t size() const override { return best_.size(); }
+
+  void on_round(NodeId v, SyncContext& ctx,
+                std::span<const Message> inbox) override {
+    const NodeId before = best_[v];
     for (const Message& message : inbox)
-      best_ = std::max(best_, static_cast<NodeId>(message.data[0]));
-    if (ctx.round() == 0 || best_ != before) {
+      best_[v] = std::max(best_[v], static_cast<NodeId>(message.data[0]));
+    if (ctx.round() == 0 || best_[v] != before) {
       Message message;
       message.tag = 1;
-      message.data = {static_cast<std::int64_t>(best_)};
+      message.data = {static_cast<std::int64_t>(best_[v])};
       ctx.broadcast(std::move(message));
-      quiet_ = 0;
+      quiet_[v] = 0;
     } else {
-      ++quiet_;
+      ++quiet_[v];
     }
   }
 
-  bool ready_for_phase_advance() const override { return true; }
-  void on_phase(std::size_t) override {}
-  bool finished() const override { return quiet_ >= quiet_needed_; }
+  bool ready_for_phase_advance(NodeId) const override { return true; }
+  void on_phase(NodeId, std::size_t) override {}
+  bool finished(NodeId v) const override {
+    return quiet_[v] >= quiet_needed_;
+  }
 
-  NodeId best() const { return best_; }
+  NodeId best(NodeId v) const { return best_[v]; }
 
  private:
-  NodeId best_;
-  std::size_t quiet_ = 0;
+  std::vector<NodeId> best_;
+  std::vector<std::size_t> quiet_;
   std::size_t quiet_needed_;
 };
 
 TEST(SyncEngine, FloodingConvergesToGlobalMax) {
   const Graph path = generate_path(8);
-  std::vector<std::unique_ptr<SyncProgram>> programs;
-  for (NodeId v = 0; v < 8; ++v)
-    programs.push_back(std::make_unique<MaxFloodProgram>(v, 10));
-  SyncEngine engine(path, std::move(programs));
+  MaxFloodSet set(8, 10);
+  SyncEngine engine(path, set);
   const SyncMetrics metrics = engine.run();
   EXPECT_TRUE(metrics.completed);
-  for (NodeId v = 0; v < 8; ++v)
-    EXPECT_EQ(static_cast<MaxFloodProgram&>(engine.program(v)).best(), 7u);
+  for (NodeId v = 0; v < 8; ++v) EXPECT_EQ(set.best(v), 7u);
   // The max id (node 7) must travel 7 hops: at least 7 rounds.
   EXPECT_GE(metrics.rounds, 7u);
   EXPECT_GT(metrics.messages, 0u);
 }
 
-/// Counts rounds between phase advances; finishes after two phases.
-class PhaseProgram final : public SyncProgram {
+/// Always votes ready; finishes after two phases.
+class PhaseSet final : public SyncProgramSet {
  public:
-  void on_round(SyncContext&, std::span<const Message>) override {
-    ++rounds_seen_;
-  }
-  bool ready_for_phase_advance() const override { return true; }
-  void on_phase(std::size_t new_phase) override { phase_ = new_phase; }
-  bool finished() const override { return phase_ >= 2; }
+  explicit PhaseSet(std::size_t nodes) : phase_(nodes, 0) {}
 
-  std::size_t phase() const { return phase_; }
-  std::size_t rounds_seen() const { return rounds_seen_; }
+  std::size_t size() const override { return phase_.size(); }
+  void on_round(NodeId, SyncContext&, std::span<const Message>) override {}
+  bool ready_for_phase_advance(NodeId) const override { return true; }
+  void on_phase(NodeId v, std::size_t new_phase) override {
+    phase_[v] = new_phase;
+  }
+  bool finished(NodeId v) const override { return phase_[v] >= 2; }
 
  private:
-  std::size_t phase_ = 0;
-  std::size_t rounds_seen_ = 0;
+  std::vector<std::size_t> phase_;
 };
 
 TEST(SyncEngine, BarrierAdvancesPhases) {
   const Graph path = generate_path(3);
-  std::vector<std::unique_ptr<SyncProgram>> programs;
-  for (int i = 0; i < 3; ++i)
-    programs.push_back(std::make_unique<PhaseProgram>());
-  SyncEngine engine(path, std::move(programs));
+  PhaseSet set(3);
+  SyncEngine engine(path, set);
   const SyncMetrics metrics = engine.run(100);
   EXPECT_TRUE(metrics.completed);
   EXPECT_GE(metrics.phases, 2u);
 }
 
-/// Sends one message to an illegal (non-neighbor) target.
-class IllegalSendProgram final : public SyncProgram {
+/// Never votes, never finishes; node `sender` (if any) messages node 2
+/// every round — two hops away on a path, so an illegal target.
+class IdleSet final : public SyncProgramSet {
  public:
-  void on_round(SyncContext& ctx, std::span<const Message>) override {
+  explicit IdleSet(std::size_t nodes, NodeId sender = kNoNode)
+      : nodes_(nodes), sender_(sender) {}
+
+  std::size_t size() const override { return nodes_; }
+  void on_round(NodeId v, SyncContext& ctx,
+                std::span<const Message>) override {
+    if (v != sender_) return;
     Message message;
     message.tag = 1;
-    ctx.send(2, std::move(message));  // node 2 is two hops away on a path
+    ctx.send(2, std::move(message));
   }
-  bool ready_for_phase_advance() const override { return false; }
-  void on_phase(std::size_t) override {}
-  bool finished() const override { return false; }
-};
+  bool ready_for_phase_advance(NodeId) const override { return false; }
+  void on_phase(NodeId, std::size_t) override {}
+  bool finished(NodeId) const override { return false; }
 
-class IdleProgram final : public SyncProgram {
- public:
-  void on_round(SyncContext&, std::span<const Message>) override {}
-  bool ready_for_phase_advance() const override { return false; }
-  void on_phase(std::size_t) override {}
-  bool finished() const override { return false; }
+ private:
+  std::size_t nodes_;
+  NodeId sender_;
 };
 
 TEST(SyncEngine, RejectsNonNeighborSend) {
   const Graph path = generate_path(3);
-  std::vector<std::unique_ptr<SyncProgram>> programs;
-  programs.push_back(std::make_unique<IllegalSendProgram>());  // node 0
-  programs.push_back(std::make_unique<IdleProgram>());
-  programs.push_back(std::make_unique<IdleProgram>());
-  SyncEngine engine(path, std::move(programs));
+  IdleSet set(3, /*sender=*/0);
+  SyncEngine engine(path, set);
   EXPECT_THROW(engine.run(10), contract_error);
 }
 
 TEST(SyncEngine, RoundCapStopsRunaway) {
   const Graph path = generate_path(2);
-  std::vector<std::unique_ptr<SyncProgram>> programs;
-  programs.push_back(std::make_unique<IdleProgram>());
-  programs.push_back(std::make_unique<IdleProgram>());
-  SyncEngine engine(path, std::move(programs));
+  IdleSet set(2);
+  SyncEngine engine(path, set);
   const SyncMetrics metrics = engine.run(25);
   EXPECT_FALSE(metrics.completed);
   EXPECT_EQ(metrics.rounds, 25u);
 }
 
-/// Finishes immediately but echoes every received message once — models a
-/// retired relay node.
-class RelayWhileFinished final : public SyncProgram {
- public:
-  void on_round(SyncContext& ctx, std::span<const Message> inbox) override {
-    for (const Message& message : inbox) {
-      if (message.data[0] > 0) {
-        Message copy;
-        copy.tag = message.tag;
-        copy.data = {message.data[0] - 1};
-        ctx.broadcast(std::move(copy));
-      }
-      ++relayed_;
-    }
-  }
-  bool ready_for_phase_advance() const override { return true; }
-  void on_phase(std::size_t) override {}
-  bool finished() const override { return true; }
-  std::size_t relayed() const { return relayed_; }
-
- private:
-  std::size_t relayed_ = 0;
-};
-
-/// Sends one TTL'd message then finishes.
-class OneShotSender final : public SyncProgram {
- public:
-  void on_round(SyncContext& ctx, std::span<const Message>) override {
-    if (sent_) return;
-    sent_ = true;
-    Message message;
-    message.tag = 1;
-    message.data = {3};
-    ctx.broadcast(std::move(message));
-  }
-  bool ready_for_phase_advance() const override { return true; }
-  void on_phase(std::size_t) override {}
-  bool finished() const override { return sent_; }
-
- private:
-  bool sent_ = false;
-};
-
 TEST(SyncEngine, FinishedNodesStillRelayMessages) {
   // Retired DistMIS nodes must keep forwarding floods; the engine calls
-  // finished programs whenever their inbox is non-empty. Node 3 waits for
-  // the flood, nodes 1-2 are finished relays.
-  class WaitForMessage final : public SyncProgram {
+  // finished nodes whenever their inbox is non-empty. Node 0 sends one
+  // TTL'd message and finishes, nodes 1-2 are finished relays that echo
+  // every message once, and node 3 waits for the flood.
+  class RelaySet final : public SyncProgramSet {
    public:
-    void on_round(SyncContext&, std::span<const Message> inbox) override {
-      if (!inbox.empty()) got_it_ = true;
+    std::size_t size() const override { return 4; }
+    void on_round(NodeId v, SyncContext& ctx,
+                  std::span<const Message> inbox) override {
+      if (v == 0) {
+        if (sent_) return;
+        sent_ = true;
+        Message message;
+        message.tag = 1;
+        message.data = {3};
+        ctx.broadcast(std::move(message));
+      } else if (v == 3) {
+        if (!inbox.empty()) got_it_ = true;
+      } else {
+        for (const Message& message : inbox) {
+          if (message.data[0] > 0) {
+            Message copy;
+            copy.tag = message.tag;
+            copy.data = {message.data[0] - 1};
+            ctx.broadcast(std::move(copy));
+          }
+        }
+      }
     }
-    bool ready_for_phase_advance() const override { return false; }
-    void on_phase(std::size_t) override {}
-    bool finished() const override { return got_it_; }
+    bool ready_for_phase_advance(NodeId v) const override { return v != 3; }
+    void on_phase(NodeId, std::size_t) override {}
+    bool finished(NodeId v) const override {
+      if (v == 0) return sent_;
+      if (v == 3) return got_it_;
+      return true;
+    }
+    bool sent_ = false;
     bool got_it_ = false;
   };
   const Graph path = generate_path(4);
-  std::vector<std::unique_ptr<SyncProgram>> programs;
-  programs.push_back(std::make_unique<OneShotSender>());
-  programs.push_back(std::make_unique<RelayWhileFinished>());
-  programs.push_back(std::make_unique<RelayWhileFinished>());
-  programs.push_back(std::make_unique<WaitForMessage>());
-  SyncEngine engine(path, std::move(programs));
+  RelaySet set;
+  SyncEngine engine(path, set);
   const SyncMetrics metrics = engine.run(50);
   EXPECT_TRUE(metrics.completed);
   // The TTL'd flood crossed two *finished* relays to reach node 3.
-  EXPECT_TRUE(static_cast<WaitForMessage&>(engine.program(3)).got_it_);
+  EXPECT_TRUE(set.got_it_);
 }
 
 TEST(SyncEngine, BarrierWaitsForInFlightMessages) {
   // A message sent right before everyone votes ready must be delivered in
   // the old phase, not swallowed by the barrier.
-  class SendThenReady final : public SyncProgram {
+  class SendThenReadySet final : public SyncProgramSet {
    public:
-    void on_round(SyncContext& ctx, std::span<const Message> inbox) override {
-      received_ += inbox.size();
+    std::size_t size() const override { return 2; }
+    void on_round(NodeId v, SyncContext& ctx,
+                  std::span<const Message> inbox) override {
+      received_[v] += inbox.size();
       if (ctx.round() == 0) {
         Message message;
         message.tag = 1;
         message.data = {0};
         ctx.broadcast(std::move(message));
       }
-      if (received_ >= 1 && phase_ >= 1) done_ = true;
+      if (received_[v] >= 1 && phase_[v] >= 1) done_[v] = true;
     }
-    bool ready_for_phase_advance() const override { return true; }
-    void on_phase(std::size_t new_phase) override { phase_ = new_phase; }
-    bool finished() const override { return done_; }
-    std::size_t received_ = 0;
-    std::size_t phase_ = 0;
-    bool done_ = false;
+    bool ready_for_phase_advance(NodeId) const override { return true; }
+    void on_phase(NodeId v, std::size_t new_phase) override {
+      phase_[v] = new_phase;
+    }
+    bool finished(NodeId v) const override { return done_[v]; }
+    std::size_t received_[2] = {0, 0};
+    std::size_t phase_[2] = {0, 0};
+    bool done_[2] = {false, false};
   };
   const Graph path = generate_path(2);
-  std::vector<std::unique_ptr<SyncProgram>> programs;
-  programs.push_back(std::make_unique<SendThenReady>());
-  programs.push_back(std::make_unique<SendThenReady>());
-  SyncEngine engine(path, std::move(programs));
+  SendThenReadySet set;
+  SyncEngine engine(path, set);
   const SyncMetrics metrics = engine.run(20);
   EXPECT_TRUE(metrics.completed);
-  for (NodeId v = 0; v < 2; ++v)
-    EXPECT_EQ(static_cast<SendThenReady&>(engine.program(v)).received_, 1u);
+  for (NodeId v = 0; v < 2; ++v) EXPECT_EQ(set.received_[v], 1u);
 }
 
 TEST(SyncEngine, RequiresOneProgramPerNode) {
   const Graph path = generate_path(3);
-  std::vector<std::unique_ptr<SyncProgram>> programs;
-  programs.push_back(std::make_unique<IdleProgram>());
-  EXPECT_THROW(SyncEngine(path, std::move(programs)), contract_error);
+  IdleSet set(1);
+  EXPECT_THROW(SyncEngine(path, set), contract_error);
 }
 
 }  // namespace

@@ -53,8 +53,10 @@ run_sanitizer() {  # $1 = preset name (asan-ubsan | tsan)
 # --faults= grammar and the oracle CLI path end to end on both reliable
 # wrappers (distMIS: synchronous, DFS: asynchronous), drives the async
 # detector through suspect -> probe -> re-trust under a whole-graph region
-# outage, and checks that a retired flag, and a flag the run would ignore
-# (--shards without --faults), are rejected, not ignored.
+# outage, runs a soak whose every distributed repair is hardened by the
+# synchronous wrapper under bursty loss, and checks that a retired flag,
+# and a flag the run would ignore (--shards without --faults), are
+# rejected, not ignored.
 replay_smoke() {
   local replay="$1"
   local burst_smoke=(--family=grid --n=12 --density=0.5 --seed=5
@@ -63,6 +65,14 @@ replay_smoke() {
   "${replay}" "${burst_smoke[@]}" --scheduler=DFS
   "${replay}" --family=ring --n=6 --seed=1 --scheduler=DFS \
     --faults=cap=1,regions=1,regionr=2,regionh=2.5,regiond=60
+  local hardened_soak
+  hardened_soak="$("${replay}" --soak=seed=3,n=60,events=60 \
+    --faults=drop=0.05,bp=0.2 --reliable=1)"
+  echo "${hardened_soak}"
+  if ! grep -q '^soak oracles: ok' <<< "${hardened_soak}"; then
+    echo "hardened soak replay broke a soak oracle"
+    return 1
+  fi
   if "${replay}" --family=ring --n=8 --seed=3 --scheduler=DFS \
     --faults=drop=0.1 --tuning=fixed >/dev/null 2>&1; then
     echo "replay accepted a retired transport flag"
