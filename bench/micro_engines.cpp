@@ -255,16 +255,14 @@ void BM_AsyncEngineRingHops(benchmark::State& state) {
 BENCHMARK(BM_AsyncEngineRingHops)->Arg(64);
 
 /// Headline row of EXPERIMENTS.md's "Async engine throughput" table:
-/// DistMIS behind the α-synchronizer (sim/synchronizer.h) on the paper UDG,
-/// shard-parameterized. Args: {nodes, shards}; shards == 0 runs the serial
-/// event queue. msgs/timer_events are the *engine's* event counts (frames
-/// and polls, not DistMIS protocol messages) — the work the event queue
-/// actually dispatches. The result is byte-identical across the shard sweep
-/// (tests/async_sharded_test.cpp); this bench measures wall time and the
-/// steady-state allocation profile.
+/// DistMIS behind the α-synchronizer (sim/synchronizer.h) on the paper UDG.
+/// Arg: node count. msgs/timer_events are the *engine's* event counts
+/// (frames and polls, not DistMIS protocol messages) — the work the event
+/// queue actually dispatches. The schedule is byte-identical to sync
+/// DistMIS (tests/async_equivalence_test.cpp); this bench measures wall
+/// time and the steady-state allocation profile.
 void BM_AsyncDistMisUdg(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  const auto shards = static_cast<std::size_t>(state.range(1));
   const double radius = 0.5;
   const double side =
       std::sqrt(static_cast<double>(n) * 3.14159265 * radius * radius / 6.0);
@@ -276,7 +274,6 @@ void BM_AsyncDistMisUdg(benchmark::State& state) {
     AsyncDistMisOptions options;
     options.variant = DistMisVariant::kGbg;
     options.seed = 42;
-    options.shards = shards;
     options.audit = &audit;
     options.engine_metrics = &engine_metrics;
     const ScheduleResult result = run_dist_mis_async(graph, options);
@@ -293,16 +290,11 @@ void BM_AsyncDistMisUdg(benchmark::State& state) {
     state.counters["peak_rss_mb"] =
         static_cast<double>(usage.ru_maxrss) / 1024.0;
 }
-BENCHMARK(BM_AsyncDistMisUdg)
-    ->Args({1000, 0})
-    ->Args({1000, 8})
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_AsyncDistMisUdg)->Arg(1000)->Unit(benchmark::kMillisecond);
 
 /// Timer-heavy row: reliable DFS under a bursty loss plan. Retransmit and
 /// heartbeat timers dominate the event mix here, so this row exercises the
 /// timer wheel the way the retransmission layer does in the soak harness.
-/// Faults force the serial event path by design, so there is no shard
-/// parameter.
 void BM_AsyncReliableBurst(benchmark::State& state) {
   const auto rows = static_cast<std::size_t>(state.range(0));
   // A grid is connected by construction (DFS needs the token to reach every

@@ -31,21 +31,21 @@
 //
 // Each mode rejects flags outside its vocabulary (kReplayFlags,
 // kSoakReplayFlags), flags the run would ignore (--reliable or --prr-trace
-// without --faults, --shards without an engine that shards), and numeric
-// values that do not parse whole, so a mistyped line fails instead of
-// replaying a different run.
+// without --faults, --shards without an engine that shards — DFS runs on
+// the asynchronous engine, which has one event wheel), and numeric values
+// that do not parse whole, so a mistyped line fails instead of replaying a
+// different run.
 //
-// --shards=N replays a fault repro or a distributed soak on the sharded
-// engine path: N goes into the run's RunConfig (sim/run_config.h) together
-// with a ThreadPool replay owns, so DFS shards its asynchronous engine and
-// the other schedulers and every distributed soak repair shard the
-// synchronous one. Sharding is byte-identical to serial for every count, so
-// a repro line replays the same verdict with the flag added or removed; the
-// flag is echoed in the printed repro lines so a sharded replay stays a
-// one-line paste. An armed fault plan still forces both engines serial
-// (lifting that is the "sharded code under faults" item in ROADMAP.md), so
-// today the flag shards only --faults=none repros and fault-free
-// distributed soaks.
+// --shards=N replays a fault repro of a synchronous scheduler or a
+// distributed soak on the sharded engine path: N goes into the run's
+// RunConfig (sim/run_config.h) together with a ThreadPool replay owns, and
+// the synchronous engine shards across it. Sharding is byte-identical to
+// serial for every count, so a repro line replays the same verdict with the
+// flag added or removed; the flag is echoed in the printed repro lines so a
+// sharded replay stays a one-line paste. An armed fault plan still forces
+// the engine serial (lifting that is the "sharded code under faults" item
+// in ROADMAP.md), so today the flag shards only --faults=none repros and
+// fault-free distributed soaks.
 #include <algorithm>
 #include <cstdint>
 #include <iostream>
@@ -69,24 +69,6 @@
 #include "verify/soak_oracles.h"
 
 namespace {
-
-/// Parses the scheduler-name spelling repro commands use (scheduler_name()),
-/// accepting the scheduler_cli lowercase aliases as a convenience.
-fdlsp::SchedulerKind parse_scheduler(const std::string& name) {
-  using fdlsp::SchedulerKind;
-  for (const SchedulerKind kind :
-       {SchedulerKind::kDistMisGbg, SchedulerKind::kDistMisGeneral,
-        SchedulerKind::kDfs, SchedulerKind::kDmgc, SchedulerKind::kGreedy,
-        SchedulerKind::kRandomized}) {
-    if (name == fdlsp::scheduler_name(kind)) return kind;
-  }
-  if (name == "distmis") return SchedulerKind::kDistMisGbg;
-  if (name == "distmis-gen") return SchedulerKind::kDistMisGeneral;
-  if (name == "dfs") return SchedulerKind::kDfs;
-  if (name == "dmgc") return SchedulerKind::kDmgc;
-  FDLSP_REQUIRE(false, "unknown --scheduler: " + name);
-  return SchedulerKind::kGreedy;
-}
 
 fdlsp::GraphFamily parse_family(const std::string& name) {
   using fdlsp::GraphFamily;
@@ -212,7 +194,8 @@ int main(int argc, char** argv) {
     scenario.n = args.get_count("n", 8);
     scenario.density = args.get_double("density", 0.5);
     scenario.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-    const SchedulerKind kind = parse_scheduler(args.get("scheduler", ""));
+    const SchedulerKind kind =
+        parse_scheduler_name(args.get("scheduler", ""));
 
     const Graph graph = materialize(scenario);
     std::cout << "scenario: " << repro_command(scenario, kind) << "\n"
@@ -224,9 +207,8 @@ int main(int argc, char** argv) {
       if (args.has("prr-trace"))
         spec.prr_levels = load_prr_levels(args.get("prr-trace", ""));
       const bool reliable = args.get_int("reliable", 1) != 0;
-      // Replays on the sharded engine path (async for DFS, synchronous for
-      // the other schedulers) — byte-identical to serial for any count, so
-      // the verdict below is unchanged.
+      // Replays on the sharded synchronous engine path — byte-identical to
+      // serial for any count, so the verdict below is unchanged.
       RunConfig run{.faults = &spec, .reliable = reliable};
       std::optional<ThreadPool> pool;
       attach_shards(args, pool, run);

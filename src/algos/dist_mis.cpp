@@ -463,8 +463,8 @@ ScheduleResult run_dist_mis(const Graph& graph,
 ScheduleResult run_dist_mis_async(const Graph& graph,
                                   const AsyncDistMisOptions& options) {
   DistMisSet set(graph, options.variant, options.seed);
-  // External contexts always report shard 0 — the synchronizer's lockstep
-  // serializes node callbacks regardless of the engine's shard count.
+  // External contexts always report shard 0: the asynchronous engine
+  // dispatches every node callback from one event wheel.
   set.prepare_shards(1);
   RoundSynchronizer coordinator(set, kMaxRounds);
   const FaultSpec spec = options.fault_spec();

@@ -78,8 +78,9 @@ struct AsyncDistMisOptions : RunConfig {
 /// Runs DistMIS on the asynchronous engine behind the α-synchronizer
 /// (sim/synchronizer.h). The resulting coloring, slot count, rounds and
 /// messages are byte-identical to run_dist_mis with the same variant and
-/// seed — for every delay model and shard count — which makes the whole
-/// synchronous corpus an oracle for the asynchronous engine.
+/// seed — for every delay model, with or without the reliable wrapper —
+/// which makes the whole synchronous corpus an oracle for the asynchronous
+/// engine (check_async_equivalence in verify/differential.h).
 ScheduleResult run_dist_mis_async(const Graph& graph,
                                   const AsyncDistMisOptions& options);
 

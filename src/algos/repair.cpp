@@ -13,9 +13,13 @@ ArcColoring transfer_coloring(const ArcView& old_view,
                               const ArcColoring& old_coloring,
                               const ArcView& new_view) {
   ArcColoring transferred(new_view.num_arcs());
+  const std::size_t old_nodes = old_view.graph().num_nodes();
   for (ArcId a = 0; a < new_view.num_arcs(); ++a) {
-    const ArcId old_arc =
-        old_view.find_arc(new_view.tail(a), new_view.head(a));
+    const NodeId tail = new_view.tail(a);
+    const NodeId head = new_view.head(a);
+    // An endpoint that joined after the old graph has no old arcs.
+    if (tail >= old_nodes || head >= old_nodes) continue;
+    const ArcId old_arc = old_view.find_arc(tail, head);
     if (old_arc != kNoArc && old_coloring.is_colored(old_arc))
       transferred.set(a, old_coloring.color(old_arc));
   }

@@ -27,7 +27,8 @@ struct RepairResult {
 
 /// Transfers a coloring across topologies that share node ids: each arc of
 /// `new_view` inherits the color of the same (tail, head) arc in `old_view`
-/// if that link still exists; new links start uncolored.
+/// if that link still exists; new links start uncolored, including every
+/// arc of a node that joined (an id beyond the old graph's node count).
 ArcColoring transfer_coloring(const ArcView& old_view,
                               const ArcColoring& old_coloring,
                               const ArcView& new_view);

@@ -57,8 +57,9 @@ std::string scheduler_name(SchedulerKind kind);
 /// Runs the given algorithm on `graph` with deterministic seed, in the
 /// execution environment `run` (sim/run_config.h). DistMIS, distMIS-gen
 /// and randomized run on the synchronous engine, DFS on the asynchronous
-/// one. Centralized algorithms (D-MGC, greedy) have no engine: they ignore
-/// `run` and return the clean result.
+/// one, which rejects a nonzero `run.shards`. Centralized algorithms
+/// (D-MGC, greedy) have no engine: they ignore `run` and return the clean
+/// result.
 ScheduleResult run_scheduler(SchedulerKind kind, const Graph& graph,
                              std::uint64_t seed, const RunConfig& run = {});
 

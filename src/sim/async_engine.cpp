@@ -84,53 +84,6 @@ AsyncEngine::AsyncEngine(const Graph& graph,
   channels_.build(graph_);
 }
 
-std::size_t AsyncEngine::planned_shards() const noexcept {
-  // Trace and fault seams force the serial path, exactly as SyncEngine:
-  // observation and injection assume one global dispatch order surface.
-  // The alloc auditor does not — the sharded dispatch is itself under the
-  // zero-alloc contract.
-  const std::size_t n = graph_.num_nodes();
-  if (trace_ != nullptr || faults_ != nullptr || n == 0) return 1;
-  if (shards_config_ <= 1) return 1;
-  return std::min(shards_config_, n);
-}
-
-void AsyncEngine::init_shards(std::size_t count) {
-  if (wheels_.size() != count) {
-    FDLSP_REQUIRE(live_events() == 0,
-                  "shard count changed with events still pending");
-    wheels_.resize(count);
-    lanes_.resize(count * count);
-  }
-  num_shards_ = count;
-  plan_ = ShardPlan{graph_.num_nodes(), count};
-  if (count == 1) {
-    shard_of_.clear();  // the serial path never consults the table
-  } else {
-    shard_of_.resize(graph_.num_nodes());
-    for (NodeId v = 0; v < graph_.num_nodes(); ++v)
-      shard_of_[v] = static_cast<std::uint32_t>(plan_.shard_of(v));
-  }
-}
-
-// fdlsp-lint: hot — per-event steady-state path, no allocator traffic
-void AsyncEngine::route(const AsyncEventKey& key, NodeId to) {
-  const std::size_t dst = num_shards_ == 1 ? 0 : shard_of_[to];
-  if (in_handler_ && dst != current_shard_) {
-    // A cross-shard post raised inside a handler: buffer it in the
-    // (source, destination) lane. The flush after the handler is what a
-    // parallel dispatcher would do with one atomic hand-off per lane.
-    std::vector<AsyncEventKey>& lane =
-        lanes_[current_shard_ * num_shards_ + dst];
-    if (lane.empty())
-      touched_lanes_.push_back(
-          static_cast<std::uint32_t>(current_shard_ * num_shards_ + dst));
-    lane.push_back(key);
-    return;
-  }
-  wheels_[dst].insert(key);
-}
-
 // fdlsp-lint: hot — per-event steady-state path, no allocator traffic
 void AsyncEngine::schedule_slot(std::uint32_t slot, NodeId to, ArcId channel,
                                 double now) {
@@ -153,7 +106,7 @@ void AsyncEngine::schedule_slot(std::uint32_t slot, NodeId to, ArcId channel,
   // the same channel.
   when = std::max(when, channel_clock_[channel] + 1e-9);
   channel_clock_[channel] = when;
-  route(AsyncEventKey{when, next_sequence_++, slot}, to);
+  wheel_.insert(AsyncEventKey{when, next_sequence_++, slot});
 }
 
 // fdlsp-lint: hot — per-event steady-state path, no allocator traffic
@@ -288,52 +241,19 @@ void AsyncEngine::post_copy_resolved(NodeId from, NodeId to, ArcId channel,
 void AsyncEngine::post_timer(NodeId v, double delay, std::int64_t cookie,
                              double now) {
   FDLSP_REQUIRE(delay > 0.0, "timer delays must be positive");
-  // Timers are node-local: no channel, no FIFO clamp, no delay schedule —
-  // and always same-shard (a node only arms its own timers), so they go
-  // straight into the shard's wheel, never through a lane.
+  // Timers are node-local: no channel, no FIFO clamp, no delay schedule.
   const std::uint32_t slot = slab_.acquire();
   AsyncEventSlot& event = slab_[slot];
   event.to = v;
   event.channel = kNoArc;
   event.cookie = cookie;
-  const std::size_t dst = num_shards_ == 1 ? 0 : shard_of_[v];
-  wheels_[dst].insert(AsyncEventKey{now + delay, next_sequence_++, slot});
-}
-
-// fdlsp-lint: hot — per-batch steady-state path, no allocator traffic
-bool AsyncEngine::shard_head(std::size_t s, AsyncEventKey& out) {
-  if (wheels_[s].empty()) return false;
-  out = wheels_[s].peek();
-  return true;
-}
-
-// fdlsp-lint: hot — per-event steady-state path, no allocator traffic
-void AsyncEngine::flush_lanes(ShardCursor& other) {
-  if (touched_lanes_.empty()) return;
-  for (const std::uint32_t index : touched_lanes_) {
-    std::vector<AsyncEventKey>& lane = lanes_[index];
-    const std::size_t dst = index % num_shards_;
-    for (const AsyncEventKey& key : lane) {
-      wheels_[dst].insert(key);
-      // Posts only ever lower a destination head, so folding the flushed
-      // keys keeps the cursor the exact minimum (and argmin) over the
-      // other shards' heads — the batch-continuation test never goes
-      // stale.
-      if (event_key_after(other.key, key)) {
-        other.key = key;
-        other.shard = dst;
-      }
-    }
-    lane.clear();
-  }
-  touched_lanes_.clear();
+  wheel_.insert(AsyncEventKey{now + delay, next_sequence_++, slot});
 }
 
 // fdlsp-lint: hot — per-event steady-state path, no allocator traffic
 void AsyncEngine::dispatch_event(
     const AsyncEventKey& key, AsyncMetrics& metrics, std::size_t& events,
-    std::vector<std::pair<double, std::uint64_t>>& delivered,
-    ShardCursor& other) {
+    std::vector<std::pair<double, std::uint64_t>>& delivered) {
   AsyncEventSlot& slot = slab_[key.slot];
   const NodeId to = slot.to;
   const ArcId channel = slot.channel;
@@ -349,8 +269,7 @@ void AsyncEngine::dispatch_event(
   // event is always the furthest in time.
   metrics.completion_time = key.time;
   // One audited "round" is one dispatched event: the handler plus the
-  // queue traffic it generates (posts and lane flushes land inside the
-  // bracket).
+  // queue traffic it generates (its posts land inside the bracket).
   if (alloc_audit_ != nullptr) alloc_audit_->begin_round();
   AsyncContext ctx(*this, to, graph_.neighbors(to), key.time);
   if (channel == kNoArc) {
@@ -360,11 +279,8 @@ void AsyncEngine::dispatch_event(
     ++metrics.timer_events;
     if (trace_ != nullptr) trace_->on_local_step(to);
     current_node_ = to;
-    in_handler_ = true;
     programs_[to]->on_timer(ctx, cookie);
-    in_handler_ = false;
     current_node_ = kNoNode;
-    flush_lanes(other);
     if (alloc_audit_ != nullptr) alloc_audit_->end_round();
     return;
   }
@@ -386,25 +302,16 @@ void AsyncEngine::dispatch_event(
   dispatch_scratch_ = std::move(slot.message);
   slab_.release(key.slot);
   current_node_ = to;
-  in_handler_ = true;
   programs_[to]->on_message(ctx, dispatch_scratch_);
-  in_handler_ = false;
   current_node_ = kNoNode;
-  flush_lanes(other);
   if (alloc_audit_ != nullptr) alloc_audit_->end_round();
-}
-
-std::size_t AsyncEngine::live_events() const {
-  std::size_t total = 0;
-  for (const EventWheel& wheel : wheels_) total += wheel.size();
-  return total;
 }
 
 std::string AsyncEngine::diagnose_stall() {
   // Event budget exhausted with work still queued: summarize what is stuck
   // so a livelock (e.g. a retransmission loop that can never be acked) is
   // debuggable instead of a silent hang. The slab's liveness map covers
-  // every pending event regardless of which shard structure holds its key.
+  // every pending event.
   std::vector<std::uint64_t> pending(channel_clock_.size(), 0);
   std::size_t pending_timers = 0;
   std::size_t total = 0;
@@ -461,7 +368,6 @@ std::string AsyncEngine::diagnose_stall() {
 
 AsyncMetrics AsyncEngine::run(std::size_t max_messages) {
   AsyncMetrics metrics;
-  init_shards(planned_shards());
   if (faults_ != nullptr) {
     faults_->on_run_start();
     fault_posts_.assign(2 * graph_.num_edges(), 0);
@@ -484,60 +390,9 @@ AsyncMetrics AsyncEngine::run(std::size_t max_messages) {
   // retransmission livelock burns timers, not messages, and must still hit
   // the watchdog.
   std::size_t events = 0;
-  if (num_shards_ == 1) {
-    // Serial fast path: one wheel, no tournament, no batch-continuation
-    // test. The cursor stays at the sentinel — a single-shard run has no
-    // cross-shard lanes to fold into it.
-    ShardCursor other{event_key_sentinel(), num_shards_};
-    EventWheel& wheel = wheels_[0];
-    while (!wheel.empty() && events < max_messages)
-      dispatch_event(wheel.pop(), metrics, events, delivered, other);
-  }
-  // Tournament: the shard whose head is the global (time, sequence)
-  // minimum wins the next batch. Sequences come from one global counter,
-  // so this pop order is identical to a single serial heap. The full scan
-  // runs once; afterwards each batch's other-shard cursor already names
-  // the next winner (a batch only ends when that cursor's head leads).
-  std::size_t best = num_shards_;
-  if (num_shards_ > 1) {
-    AsyncEventKey best_key = event_key_sentinel();
-    for (std::size_t s = 0; s < num_shards_; ++s) {
-      AsyncEventKey head;
-      if (!shard_head(s, head)) continue;
-      if (event_key_after(best_key, head)) {
-        best_key = head;
-        best = s;
-      }
-    }
-  }
-  while (best != num_shards_ && events < max_messages) {
-    // Batch: keep dispatching from the winning shard while its head stays
-    // below every other shard's — each pop is still the global minimum, so
-    // the tournament scan is amortized over the whole same-shard run.
-    ShardCursor other{event_key_sentinel(), num_shards_};
-    for (std::size_t s = 0; s < num_shards_; ++s) {
-      if (s == best) continue;
-      AsyncEventKey head;
-      if (!shard_head(s, head)) continue;
-      if (event_key_after(other.key, head)) {
-        other.key = head;
-        other.shard = s;
-      }
-    }
-    current_shard_ = best;
-    EventWheel& wheel = wheels_[best];
-    while (events < max_messages) {
-      if (wheel.empty()) break;
-      if (!event_key_after(other.key, wheel.peek())) break;  // other leads
-      const AsyncEventKey key = wheel.pop();
-      dispatch_event(key, metrics, events, delivered, other);
-    }
-    current_shard_ = 0;
-    // The batch ended because this shard drained or stopped leading; in
-    // both cases the cursor's argmin is the exact next winner.
-    best = other.shard;
-  }
-  if (live_events() > 0) metrics.stall_diagnosis = diagnose_stall();
+  while (!wheel_.empty() && events < max_messages)
+    dispatch_event(wheel_.pop(), metrics, events, delivered);
+  if (!wheel_.empty()) metrics.stall_diagnosis = diagnose_stall();
   bool all_done = true;
   for (NodeId v = 0; v < programs_.size(); ++v) {
     if (programs_[v]->finished()) continue;

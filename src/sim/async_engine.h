@@ -10,19 +10,12 @@
 // unit.
 //
 // Internals (DESIGN.md §16): events live in a recycling slab
-// (sim/event_queue.h) and the ordering structures hold only
-// (time, sequence, slot) keys. Nodes are partitioned into contiguous
-// shards (sim/shard.h); each shard owns a hierarchical calendar queue
-// (sim/timer_wheel.h) holding both its message events — O(1) bucket
-// insertion instead of O(log n) heap sifts — and its set_timer traffic.
-// Dispatch pops the globally minimal (time, sequence) key via a tournament
-// over the shard heads; sequences come from one global counter assigned at
-// post time, so the delivery order is provably identical to a single
-// serial heap for every shard count. Cross-shard posts raised inside a
-// handler are buffered in per-(source, destination) lanes and flushed
-// after the handler returns — the structure a parallel dispatcher needs,
-// exercised here under the serial determinism oracle. Trace and fault
-// seams force the serial path (one shard), exactly as SyncEngine.
+// (sim/event_queue.h) and the ordering structure holds only
+// (time, sequence, slot) keys. One hierarchical calendar queue
+// (sim/timer_wheel.h) holds both the message events — O(1) bucket
+// insertion instead of O(log n) heap sifts — and the set_timer traffic.
+// Dispatch pops it in (time, sequence) order; sequences come from one
+// counter assigned at post time, so simultaneous events fire in post order.
 #pragma once
 
 #include <functional>
@@ -37,7 +30,6 @@
 #include "sim/event_queue.h"
 #include "sim/fault.h"
 #include "sim/message.h"
-#include "sim/shard.h"
 #include "sim/timer_wheel.h"
 #include "sim/trace.h"
 
@@ -198,23 +190,8 @@ class AsyncEngine {
   /// event — a message delivery or a timer callback — is bracketed with
   /// begin_round/end_round, so the "round" granularity of the profile is
   /// one handler invocation (support/alloc_audit.h). Not owned; must
-  /// outlive the run. Unlike trace/fault seams, the auditor does NOT force
-  /// the serial path: the sharded dispatch is itself under the zero-alloc
-  /// contract.
+  /// outlive the run.
   void set_alloc_audit(AllocAudit* audit) noexcept { alloc_audit_ = audit; }
-
-  /// Explicit shard count for the per-shard event queues (0 = serial). The
-  /// run is byte-identical to the serial engine for any value: sequences
-  /// are assigned from one global counter at post time and the dispatch
-  /// tournament pops the globally minimal (time, sequence) key. Ignored —
-  /// serial fallback — whenever a seam forces the serial path.
-  void set_shards(std::size_t shards) noexcept { shards_config_ = shards; }
-
-  /// Number of event-queue shards the next run() will execute with: 1
-  /// whenever a seam forces the serial path (trace or faults attached,
-  /// empty graph), otherwise the set_shards() value capped at the node
-  /// count.
-  std::size_t planned_shards() const noexcept;
 
   /// Program of node v (for extracting results after the run). Calling this
   /// from inside a handler for a node other than the one executing is a
@@ -240,29 +217,11 @@ class AsyncEngine {
                     const Message& message, double now);
   void schedule_slot(std::uint32_t slot, NodeId to, ArcId channel,
                      double now);
-  void route(const AsyncEventKey& key, NodeId to);
   void post_timer(NodeId v, double delay, std::int64_t cookie, double now);
-  void init_shards(std::size_t count);
-  /// Minimal pending key of shard s. Returns false when the shard is idle.
-  bool shard_head(std::size_t s, AsyncEventKey& out);
-  /// Minimum head over every shard other than the dispatching one. `shard`
-  /// is the argmin (num_shards_ when every other shard is idle) — when a
-  /// batch ends because its shard no longer holds the global minimum, the
-  /// cursor already names the next tournament winner, so the full scan
-  /// runs once per batch, not twice.
-  struct ShardCursor {
-    AsyncEventKey key;
-    std::size_t shard;
-  };
-  /// Dispatches one popped event: fault screening, handler invocation,
-  /// lane flush. Folds every cross-shard key flushed into `other` so the
-  /// batch-continuation test in run() stays exact.
+  /// Dispatches one popped event: fault screening, then the handler.
   void dispatch_event(const AsyncEventKey& key, AsyncMetrics& metrics,
                       std::size_t& events,
-                      std::vector<std::pair<double, std::uint64_t>>& delivered,
-                      ShardCursor& other);
-  void flush_lanes(ShardCursor& other);
-  std::size_t live_events() const;
+                      std::vector<std::pair<double, std::uint64_t>>& delivered);
   std::string diagnose_stall();
 
   void note_program_access(NodeId v) const {
@@ -273,19 +232,8 @@ class AsyncEngine {
   const Graph& graph_;
   std::vector<std::unique_ptr<AsyncProgram>> programs_;
   ChannelTable channels_;  // (sender, receiver) -> arc id, built once
-  AsyncEventSlab slab_;  // event payloads; ordering structures hold keys
-  std::vector<EventWheel> wheels_;  // per-shard event calendar queues
-  /// Cross-shard post lanes, indexed [source shard * count + destination
-  /// shard]: keys a handler in the source shard posted toward the
-  /// destination shard, flushed into the destination heap after the
-  /// handler returns. Empty between dispatches.
-  std::vector<std::vector<AsyncEventKey>> lanes_;
-  /// Lane indices made nonempty by the running handler — the flush walks
-  /// these instead of scanning all destinations.
-  std::vector<std::uint32_t> touched_lanes_;
-  ShardPlan plan_;               // contiguous node partition
-  std::vector<std::uint32_t> shard_of_;  // node -> shard, built per run
-  std::size_t num_shards_ = 1;   // shards of the current/last run
+  AsyncEventSlab slab_;  // event payloads; the wheel holds their keys
+  EventWheel wheel_;  // pending message and timer events
   std::vector<double> channel_clock_;  // last scheduled time per directed edge
   std::vector<std::uint64_t> channel_posts_;  // messages posted per channel
   std::unique_ptr<DelaySchedule> schedule_;
@@ -297,9 +245,6 @@ class AsyncEngine {
   AllocAudit* alloc_audit_ = nullptr;  // non-null: bracket each event
   std::vector<std::uint64_t> fault_posts_;  // fault-decision index per channel
   NodeId current_node_ = kNoNode;  // node whose handler is executing
-  std::size_t current_shard_ = 0;  // shard being dispatched (in_handler_)
-  bool in_handler_ = false;  // true while a handler runs: lane-buffer posts
-  std::size_t shards_config_ = 0;  // set_shards(); 0 = serial
 };
 
 }  // namespace fdlsp

@@ -26,9 +26,8 @@
 namespace fdlsp {
 
 /// Ordering key of one pending async event. `sequence` is assigned from one
-/// global counter at post time, so (time, sequence) is unique and totally
-/// ordered across every shard — the determinism anchor of the sharded
-/// tournament (AsyncEngine).
+/// counter at post time, so (time, sequence) is unique and totally ordered:
+/// simultaneous events fire in post order.
 struct AsyncEventKey {
   double time = 0.0;
   std::uint64_t sequence = 0;
@@ -41,12 +40,6 @@ struct AsyncEventKey {
 inline bool event_key_after(const AsyncEventKey& a,
                             const AsyncEventKey& b) noexcept {
   return a.time != b.time ? a.time > b.time : a.sequence > b.sequence;
-}
-
-/// Sentinel that orders after every real key (tournament initial value).
-inline AsyncEventKey event_key_sentinel() noexcept {
-  return {std::numeric_limits<double>::infinity(),
-          std::numeric_limits<std::uint64_t>::max(), 0};
 }
 
 /// Payload of one pending async event, addressed by AsyncEventKey::slot.
@@ -107,11 +100,12 @@ class AsyncEventSlab {
   std::vector<std::uint32_t> free_;  // LIFO: hottest slot reused first
 };
 
-/// 4-ary min-heap of event keys — one per shard. Sifts move 24-byte keys;
-/// the 4-way branching halves the sift depth of a binary heap and keeps
-/// sibling groups within two cache lines, which is where the dispatch loop
-/// spends its comparisons. The backing vector's capacity is retained
-/// across pops, so a warmed heap pushes without allocating.
+/// 4-ary min-heap of event keys — the calendar queue's due and overflow
+/// heaps (sim/timer_wheel.h). Sifts move 24-byte keys; the 4-way branching
+/// halves the sift depth of a binary heap and keeps sibling groups within
+/// two cache lines, which is where the dispatch loop spends its
+/// comparisons. The backing vector's capacity is retained across pops, so
+/// a warmed heap pushes without allocating.
 class AsyncEventHeap {
  public:
   // fdlsp-lint: hot — per-event steady-state path, no allocator traffic

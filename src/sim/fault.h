@@ -142,6 +142,19 @@ struct FaultStats {
   std::uint64_t region_drops = 0;     ///< messages lost to a region outage
   std::uint64_t link_down_drops = 0;  ///< messages lost to a down link
   std::uint64_t crash_drops = 0;      ///< messages to/from a dead node
+
+  /// Adds another run's counters (sweeps total what their runs injected).
+  FaultStats& operator+=(const FaultStats& other) noexcept {
+    dropped += other.dropped;
+    duplicated += other.duplicated;
+    corrupted += other.corrupted;
+    burst_dropped += other.burst_dropped;
+    prr_dropped += other.prr_dropped;
+    region_drops += other.region_drops;
+    link_down_drops += other.link_down_drops;
+    crash_drops += other.crash_drops;
+    return *this;
+  }
 };
 
 /// Deterministic fault decision engine for one run. See the header comment

@@ -2,6 +2,7 @@
 
 #include "sim/async_engine.h"
 #include "sim/sync_engine.h"
+#include "support/check.h"
 
 namespace fdlsp {
 
@@ -19,8 +20,10 @@ RunAttachment::RunAttachment(SyncEngine& engine, const Graph& graph,
 
 RunAttachment::RunAttachment(AsyncEngine& engine, const Graph& graph,
                              const RunConfig& run) {
+  FDLSP_REQUIRE(run.shards == 0,
+                "shards names synchronous engine shards; the asynchronous "
+                "engine dispatches from one event wheel");
   engine.set_trace(run.trace);
-  engine.set_shards(run.shards);
   engine.set_alloc_audit(run.audit);
   if (run.faults != nullptr && run.faults->any()) {
     plan_.emplace(*run.faults, graph);

@@ -9,7 +9,8 @@
 // is byte-identical to the serial SyncEngine — same inbox order (ascending
 // sender id, send order within a sender), same phase boundaries, same
 // round/message metrics — which makes the whole synchronous test corpus an
-// oracle for the asynchronous engine (tests/async_sharded_test.cpp).
+// oracle for the asynchronous engine (check_async_equivalence in
+// verify/differential.h, swept by tests/async_equivalence_test.cpp).
 //
 // Like the sync engine's phase barrier, the round/phase boundary decision
 // uses global knowledge: a RoundSynchronizer object counts round

@@ -77,17 +77,10 @@ class EventWheel {
   }
 
   bool empty() const noexcept { return count_ == 0; }
-  std::size_t size() const noexcept { return count_; }
 
-  /// Minimal pending key by (time, sequence). Cascades buckets into the
-  /// due heap as needed; amortized O(1) per pop. Requires a nonempty wheel.
-  // fdlsp-lint: hot — per-pop steady-state path, no allocator traffic
-  const AsyncEventKey& peek() {
-    FDLSP_ASSERT(count_ > 0, "peek on empty event wheel");
-    advance();
-    return due_.top();
-  }
-
+  /// Removes and returns the minimal pending key by (time, sequence).
+  /// Cascades buckets into the due heap as needed; amortized O(1) per pop.
+  /// Requires a nonempty wheel.
   // fdlsp-lint: hot — per-pop steady-state path, no allocator traffic
   AsyncEventKey pop() {
     FDLSP_ASSERT(count_ > 0, "pop on empty event wheel");

@@ -7,6 +7,17 @@
 #include "support/thread_pool.h"
 
 namespace fdlsp {
+namespace {
+
+/// Byte-identity of two runs on the same instance: schedule and the
+/// synchronous-projection metrics.
+bool same_run(const ScheduleResult& a, const ScheduleResult& b) {
+  return a.coloring.raw() == b.coloring.raw() && a.num_slots == b.num_slots &&
+         a.rounds == b.rounds && a.messages == b.messages &&
+         a.completed == b.completed;
+}
+
+}  // namespace
 
 std::string to_string(const FailureReport& report) {
   std::string out;
@@ -125,15 +136,46 @@ ScenarioOutcome check_shard_determinism(
     ++outcome.checks;
     const ScheduleResult sharded = run_scheduler(
         kind, graph, scenario.seed, {.pool = &pool, .shards = shards});
-    const bool identical = serial.coloring.raw() == sharded.coloring.raw() &&
-                           serial.num_slots == sharded.num_slots &&
-                           serial.rounds == sharded.rounds &&
-                           serial.messages == sharded.messages &&
-                           serial.completed == sharded.completed;
-    if (!identical) {
+    if (!same_run(serial, sharded)) {
       outcome.failures.push_back(
           "sharded run diverged from serial at shards=" +
           std::to_string(shards) + ": " + repro_command(scenario, kind));
+    }
+  }
+  return outcome;
+}
+
+ScenarioOutcome check_async_equivalence(
+    DistMisVariant variant, const Scenario& scenario,
+    std::span<const DelayModel> delay_models, const RunConfig& async_run,
+    FaultStats* injected) {
+  ScenarioOutcome outcome;
+  const Graph graph = materialize(scenario);
+  DistMisOptions sync_options;
+  sync_options.variant = variant;
+  sync_options.seed = scenario.seed;
+  const ScheduleResult sync = run_dist_mis(graph, sync_options);
+  const SchedulerKind kind = variant == DistMisVariant::kGbg
+                                 ? SchedulerKind::kDistMisGbg
+                                 : SchedulerKind::kDistMisGeneral;
+  std::string setting = async_run.reliable ? ", reliable wrapper" : "";
+  if (async_run.faults != nullptr)
+    setting += ", faults=" + format_fault_spec(*async_run.faults);
+  for (const DelayModel model : delay_models) {
+    ++outcome.checks;
+    AsyncDistMisOptions options;
+    static_cast<RunConfig&>(options) = async_run;
+    options.variant = variant;
+    options.seed = scenario.seed;
+    options.delay_model = model;
+    options.delay_seed = scenario.seed;
+    const ScheduleResult async = run_dist_mis_async(graph, options);
+    if (injected != nullptr) *injected += async.faults;
+    if (!same_run(sync, async)) {
+      outcome.failures.push_back(
+          "async DistMIS diverged from sync (" +
+          std::string(delay_model_name(model)) + " delays" + setting +
+          "): " + repro_command(scenario, kind));
     }
   }
   return outcome;

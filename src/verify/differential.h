@@ -13,6 +13,10 @@
 //                     ordering) is identical to the serial sweep for any
 //                     thread count. Property suites build on it instead of
 //                     hand-rolling their scenario loops.
+//   check_shard_determinism, check_async_equivalence — differential
+//                     probes shaped for run_scenarios: sharded vs serial
+//                     synchronous engine, and asynchronous vs synchronous
+//                     DistMIS.
 // Built-in scheduler kinds run via run_scheduler_on_components, so
 // disconnected fuzzed instances are handled the same way the experiment
 // harness handles them (DFS per component with slot reuse).
@@ -24,7 +28,9 @@
 #include <string>
 #include <vector>
 
+#include "algos/dist_mis.h"
 #include "algos/scheduler.h"
+#include "sim/delay.h"
 #include "verify/oracles.h"
 #include "verify/scenario.h"
 #include "verify/shrink.h"
@@ -114,17 +120,35 @@ ScenarioSweep run_scenarios(std::span<const Scenario> scenarios,
 
 /// Sharded-engine determinism probe (DESIGN.md §14): materializes the
 /// scenario, runs `kind` serially, then once per entry S of `shard_counts`
-/// with the RunConfig {.pool = &pool, .shards = S} — the synchronous
-/// schedulers shard their engine across `pool`, DFS shards the asynchronous
-/// engine — and compares each sharded result to the serial one
-/// byte-for-byte — coloring bytes, slot count, rounds, messages,
-/// completion. One check per shard
-/// count; each divergence becomes one failure string carrying the repro
-/// command. Shaped as a ScenarioCheckFn body so property suites sweep it
-/// with run_scenarios.
+/// with the RunConfig {.pool = &pool, .shards = S}, which shards the
+/// synchronous engine across `pool`, and compares each sharded result to
+/// the serial one byte-for-byte — coloring bytes, slot count, rounds,
+/// messages, completion. `kind` must run on the synchronous engine (DFS
+/// rejects a shard count). One check per shard count; each divergence
+/// becomes one failure string carrying the repro command. Shaped as a
+/// ScenarioCheckFn body so property suites sweep it with run_scenarios.
 ScenarioOutcome check_shard_determinism(SchedulerKind kind,
                                         const Scenario& scenario,
                                         std::span<const std::size_t> shard_counts,
                                         ThreadPool& pool);
+
+/// Asynchronous-engine equivalence probe (DESIGN.md §16): materializes the
+/// scenario, runs fault-free synchronous DistMIS (run_dist_mis) as the
+/// reference, then asynchronous DistMIS behind the α-synchronizer
+/// (run_dist_mis_async) once per entry of `delay_models`, executing as
+/// `async_run` says — plain, behind the reliable wrapper, or under a fault
+/// plan behind it. Both sides use `variant` and the scenario seed, which
+/// also seeds the delays. Each async result must equal the reference
+/// byte-for-byte — coloring bytes, slot count, rounds, messages,
+/// completion — the synchronizer's promise that makes the synchronous
+/// corpus an oracle for the asynchronous engine. One check per delay
+/// model; each divergence becomes one failure string carrying the repro
+/// command. A non-null `injected` accumulates the async runs' fault
+/// counters, so a faulted sweep can show that its plan fired. Shaped as a
+/// ScenarioCheckFn body so property suites sweep it with run_scenarios.
+ScenarioOutcome check_async_equivalence(
+    DistMisVariant variant, const Scenario& scenario,
+    std::span<const DelayModel> delay_models, const RunConfig& async_run,
+    FaultStats* injected = nullptr);
 
 }  // namespace fdlsp

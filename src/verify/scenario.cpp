@@ -125,8 +125,28 @@ std::vector<Scenario> sample_scenarios(std::size_t count, std::uint64_t seed,
   return scenarios;
 }
 
+SchedulerKind parse_scheduler_name(const std::string& name) {
+  for (const SchedulerKind kind :
+       {SchedulerKind::kDistMisGbg, SchedulerKind::kDistMisGeneral,
+        SchedulerKind::kDfs, SchedulerKind::kDmgc, SchedulerKind::kGreedy,
+        SchedulerKind::kRandomized}) {
+    if (name == scheduler_name(kind)) return kind;
+  }
+  if (name == "distmis") return SchedulerKind::kDistMisGbg;
+  if (name == "distmis-gen") return SchedulerKind::kDistMisGeneral;
+  if (name == "dfs") return SchedulerKind::kDfs;
+  if (name == "dmgc") return SchedulerKind::kDmgc;
+  FDLSP_REQUIRE(false, "unknown --scheduler: " + name);
+  return SchedulerKind::kGreedy;
+}
+
 void require_replay_flags(const CliArgs& args) {
   args.require_known(kReplayFlags);
+  FDLSP_REQUIRE(!args.has("shards") || !args.has("scheduler") ||
+                    parse_scheduler_name(args.get("scheduler", "")) !=
+                        SchedulerKind::kDfs,
+                "--shards shards the synchronous engine; DFS runs on the "
+                "asynchronous one");
   if (args.has("faults")) return;
   for (const char* flag : {"reliable", "prr-trace", "shards"}) {
     const std::string name = flag;

@@ -76,10 +76,16 @@ inline constexpr std::string_view kReplayFlags[] = {
     "family", "n",        "density",   "seed",   "scheduler",
     "faults", "reliable", "prr-trace", "shards", "help"};
 
-/// Checks a scheduler-mode replay line: every flag must be in kReplayFlags,
-/// and --reliable, --prr-trace and --shards need --faults — without a
-/// fault plan replay would ignore them. Raises contract_error naming the
-/// offending flag.
+/// Parses a scheduler name as repro commands spell it (scheduler_name()),
+/// also accepting the scheduler_cli lowercase aliases. Raises
+/// contract_error on an unknown name.
+SchedulerKind parse_scheduler_name(const std::string& name);
+
+/// Checks a scheduler-mode replay line: every flag must be in kReplayFlags;
+/// --reliable, --prr-trace and --shards need --faults — without a fault
+/// plan replay would ignore them; and --shards, which shards the
+/// synchronous engine, cannot go with --scheduler=DFS. Raises
+/// contract_error naming the offending flag.
 void require_replay_flags(const CliArgs& args);
 
 /// Compact printable form of a graph ("n=4 edges=[(0,1),(1,2),(2,3)]") for

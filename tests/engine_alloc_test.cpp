@@ -13,10 +13,9 @@
 // first ~430 of 451 rounds, and a 20+ round allocation-free tail.
 //
 // The asynchronous engine is held to the same standard, per *event* instead
-// of per round: a DistMIS run behind the α-synchronizer — serial and for
-// every shard count — and a run hardened with the reliable wrapper must
-// both reach an allocation-free steady-state tail. That covers the slab
-// event storage, the per-shard calendar queues and cross-shard lanes, the
+// of per round: a DistMIS run behind the α-synchronizer and a run hardened
+// with the reliable wrapper must both reach an allocation-free steady-state
+// tail. That covers the slab event storage, the calendar queue, the
 // synchronizer's frame recycling, and the reliable wrapper's frame pool.
 //
 // Under sanitizers the counting operator new hooks are compiled out
@@ -132,14 +131,12 @@ TEST(EngineAllocProfile, ShardedDistMisKeepsZeroAllocTailPerShardCount) {
 /// Runs asynchronous DistMIS-GBG with the per-event auditor attached and
 /// asserts the steady-state allocation profile. With `reliable`, every node
 /// is additionally hardened with the async ack/retransmit wrapper.
-void assert_async_steady_state_profile(const Graph& graph, std::size_t shards,
-                                       bool reliable) {
+void assert_async_steady_state_profile(const Graph& graph, bool reliable) {
   AllocAudit audit;
   AsyncMetrics engine_metrics;
   AsyncDistMisOptions options;
   options.variant = DistMisVariant::kGbg;
   options.seed = 42;
-  options.shards = shards;
   options.reliable = reliable;
   options.audit = &audit;
   options.engine_metrics = &engine_metrics;
@@ -183,19 +180,7 @@ void assert_async_steady_state_profile(const Graph& graph, std::size_t shards,
 TEST(EngineAllocProfile, AsyncDistMisReachesZeroAllocSteadyState) {
   if (!alloc_audit_enabled())
     GTEST_SKIP() << "allocation hooks compiled out (sanitizer build)";
-  assert_async_steady_state_profile(paper_udg(600), /*shards=*/0,
-                                    /*reliable=*/false);
-}
-
-TEST(EngineAllocProfile, ShardedAsyncDistMisKeepsZeroAllocTail) {
-  // Sharded event storage must preserve the tail: per-shard calendar
-  // queues, cross-shard post lanes, and the tournament merge all recycle —
-  // slab slots, lane capacity, and wheel buckets alike.
-  if (!alloc_audit_enabled())
-    GTEST_SKIP() << "allocation hooks compiled out (sanitizer build)";
-  const Graph graph = paper_udg(600);
-  for (const std::size_t shards : {2u, 8u})
-    assert_async_steady_state_profile(graph, shards, /*reliable=*/false);
+  assert_async_steady_state_profile(paper_udg(600), /*reliable=*/false);
 }
 
 TEST(EngineAllocProfile, ReliableAsyncDistMisKeepsZeroAllocTail) {
@@ -204,8 +189,7 @@ TEST(EngineAllocProfile, ReliableAsyncDistMisKeepsZeroAllocTail) {
   // allocation-free once the per-peer structures reach steady state.
   if (!alloc_audit_enabled())
     GTEST_SKIP() << "allocation hooks compiled out (sanitizer build)";
-  assert_async_steady_state_profile(paper_udg(300), /*shards=*/0,
-                                    /*reliable=*/true);
+  assert_async_steady_state_profile(paper_udg(300), /*reliable=*/true);
 }
 
 TEST(EngineAllocProfile, SerialAndPooledAgreeOnTheResult) {

@@ -34,6 +34,43 @@ TEST(TransferColoring, KeepsSurvivingLinks) {
   EXPECT_FALSE(transferred.is_colored(new_view.find_arc(2, 0)));
 }
 
+TEST(TransferColoring, JoinedNodeArcsStartUncolored) {
+  // The new graph grew by one node: its ids beyond the old node count must
+  // not be looked up in the old graph. Every arc touching the newcomer
+  // starts uncolored; every surviving arc keeps its color.
+  Rng rng(713);
+  auto positions = generate_udg(20, 3.0, 0.8, rng).positions;
+  const Graph old_graph = udg_from_positions(positions, 0.8);
+  const ArcView old_view(old_graph);
+  const ArcColoring old_coloring = greedy_coloring(old_view);
+
+  positions.push_back(Point{1.5, 1.5});
+  const Graph new_graph = udg_from_positions(positions, 0.8);
+  const ArcView new_view(new_graph);
+  const NodeId joined = static_cast<NodeId>(old_graph.num_nodes());
+  ASSERT_GT(new_graph.degree(joined), 0u) << "the newcomer has no links";
+
+  const ArcColoring transferred =
+      transfer_coloring(old_view, old_coloring, new_view);
+  std::size_t survivors = 0;
+  for (ArcId a = 0; a < new_view.num_arcs(); ++a) {
+    const NodeId tail = new_view.tail(a);
+    const NodeId head = new_view.head(a);
+    if (tail == joined || head == joined) {
+      EXPECT_FALSE(transferred.is_colored(a)) << tail << "->" << head;
+      continue;
+    }
+    // Positions of the old nodes are unchanged, so every other link
+    // survives.
+    const ArcId old_arc = old_view.find_arc(tail, head);
+    ASSERT_NE(old_arc, kNoArc) << tail << "->" << head;
+    EXPECT_EQ(transferred.color(a), old_coloring.color(old_arc))
+        << tail << "->" << head;
+    ++survivors;
+  }
+  EXPECT_EQ(survivors, old_view.num_arcs());
+}
+
 TEST(Repair, CompletesPartialColoring) {
   const Graph graph = generate_cycle(6);
   const ArcView view(graph);

@@ -279,7 +279,7 @@ std::string rejection(const std::vector<std::string>& flags) {
 TEST(ReplayFlags, FlagsTheRunWouldIgnoreAreRejectedPerMode) {
   // Scheduler mode: transport, trace and shard flags need a fault plan.
   const std::vector<std::string> base = {"--family=ring", "--n=8", "--seed=3",
-                                         "--scheduler=DFS"};
+                                         "--scheduler=distMIS"};
   for (const std::string flag : {"--reliable=0", "--reliable=1",
                                  "--prr-trace=/nonexistent/file",
                                  "--shards=4"}) {
@@ -295,6 +295,18 @@ TEST(ReplayFlags, FlagsTheRunWouldIgnoreAreRejectedPerMode) {
   faults_none.push_back("--faults=none");
   faults_none.push_back("--shards=4");
   EXPECT_EQ(rejection(faults_none), "");
+  // --shards shards the synchronous engine; DFS runs on the asynchronous
+  // one, so it rejects the flag with or without a fault plan.
+  for (const std::string scheduler : {"--scheduler=DFS", "--scheduler=dfs"}) {
+    for (const std::string faults :
+         {"--faults=none", "--faults=drop=0.1", ""}) {
+      std::vector<std::string> line = {"--family=ring", "--n=8", "--seed=3",
+                                       scheduler, "--shards=4"};
+      if (!faults.empty()) line.push_back(faults);
+      EXPECT_NE(rejection(line).find("--shards"), std::string::npos)
+          << scheduler << " " << faults;
+    }
+  }
 
   // Soak mode: --reliable needs --faults, --shards a distributed engine.
   EXPECT_NE(rejection({"--soak=seed=7", "--reliable=0"}).find("--reliable"),

@@ -3,8 +3,9 @@
 # the static-analysis jobs (fdlsp-lint, clang-tidy).
 #
 #   tools/ci.sh            # tier-1 (full suite, RelWithDebInfo)
-#   tools/ci.sh asan       # ASan+UBSan build, proptest-labeled suite
-#   tools/ci.sh tsan       # TSan build, proptest-labeled suite
+#   tools/ci.sh asan       # ASan+UBSan build, proptest-labeled suite plus
+#                          # the zero-alloc and repair suites
+#   tools/ci.sh tsan       # TSan build, same selection
 #   tools/ci.sh faults     # fault-injection gate: faulttest-labeled suite,
 #                          # plain and under ASan+UBSan
 #   tools/ci.sh soak       # continuous-operation gate: soaktest-labeled
@@ -44,8 +45,11 @@ run_sanitizer() {  # $1 = preset name (asan-ubsan | tsan)
   # The zero-alloc gate also runs under the sanitizer build: the counting
   # operator new hooks are compiled out there (support/alloc_audit.h), so
   # this verifies the GTEST_SKIP seam and keeps the fixture itself
-  # sanitizer-clean.
-  ctest --test-dir "build-${preset}" -R '^engine_alloc_test$' \
+  # sanitizer-clean. The repair suites run here too: the sanitizer presets
+  # are Debug builds, the only ones where FDLSP_ASSERT's range checks on
+  # old-graph lookups are live.
+  ctest --test-dir "build-${preset}" \
+    -R '^(engine_alloc_test|repair_test|dist_repair_test)$' \
     --output-on-failure
 }
 
@@ -55,8 +59,9 @@ run_sanitizer() {  # $1 = preset name (asan-ubsan | tsan)
 # detector through suspect -> probe -> re-trust under a whole-graph region
 # outage, runs a soak whose every distributed repair is hardened by the
 # synchronous wrapper under bursty loss, and checks that a retired flag,
-# and a flag the run would ignore (--shards without --faults), are
-# rejected, not ignored.
+# and flags the run would ignore (--shards without --faults, and --shards
+# on DFS, whose asynchronous engine does not shard), are rejected, not
+# ignored.
 replay_smoke() {
   local replay="$1"
   local burst_smoke=(--family=grid --n=12 --density=0.5 --seed=5
@@ -81,6 +86,11 @@ replay_smoke() {
   if "${replay}" --family=ring --n=8 --seed=3 --scheduler=DFS \
     --shards=4 >/dev/null 2>&1; then
     echo "replay accepted --shards without --faults"
+    return 1
+  fi
+  if "${replay}" --family=ring --n=8 --seed=3 --scheduler=DFS \
+    --faults=none --shards=4 >/dev/null 2>&1; then
+    echo "replay accepted --shards for DFS"
     return 1
   fi
 }
