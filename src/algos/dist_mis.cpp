@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -212,9 +211,44 @@ class DistMisSet final : public SyncProgramSet {
     return (static_cast<std::uint64_t>(v) << 32) | a;
   }
 
+  /// True when `message` has the payload its tag's layout needs and every
+  /// field is in range: origin < n, 0 < ttl <= flood radius, and arcs and
+  /// colors below the arc count (the greedy never needs more colors than
+  /// arcs). Only an unhardened run under a corrupting fault plan ever sees
+  /// anything else; the reliable wrapper discards corrupted frames first.
+  bool well_formed(const Message& message) const {
+    const SmallPayload& data = message.data;
+    const auto below = [](std::int64_t value, std::size_t bound) {
+      return value >= 0 && static_cast<std::uint64_t>(value) < bound;
+    };
+    const auto flood_ok = [&](std::int64_t origin, std::int64_t ttl) {
+      return below(origin, size()) && ttl > 0 &&
+             static_cast<std::uint64_t>(ttl) <= flood_radius_;
+    };
+    switch (message.tag) {
+      case kTagMisValue:
+        return data.size() == 1;
+      case kTagMisJoin:
+        return data.empty();
+      case kTagCompValue:
+        return data.size() == 4 && flood_ok(data[0], data[3]);
+      case kTagCompWin:
+        if (data.size() < 3 || (data.size() - 3) % 2 != 0 ||
+            !flood_ok(data[0], data[2]))
+          return false;
+        for (std::size_t i = 3; i < data.size(); ++i)
+          if (!below(data[i], view_.num_arcs())) return false;
+        return true;
+      default:
+        return false;
+    }
+  }
+
   // fdlsp-lint: hot — per-message steady-state path, no allocator traffic
   void process(NodeId v, ShardScratch& scratch, SyncContext& ctx,
                const Message& message) {
+    // A malformed message is lost: corruption turns into a drop.
+    if (!well_formed(message)) return;
     switch (message.tag) {
       case kTagMisValue:
         scratch.round_values.push_back(
@@ -248,8 +282,6 @@ class DistMisSet final : public SyncProgramSet {
         forward(scratch, ctx, message);
         break;
       }
-      default:
-        FDLSP_REQUIRE(false, "unknown message tag");
     }
   }
 
@@ -413,23 +445,18 @@ constexpr std::size_t kMaxAsyncEvents = 200'000'000;
 
 }  // namespace
 
-ScheduleResult run_dist_mis(const Graph& graph,
-                            const DistMisOptions& options) {
+ScheduleResult run_dist_mis(const Graph& graph, const DistMisOptions& options,
+                            const SyncSetDriver& drive) {
   DistMisSet set(graph, options.variant, options.seed);
   const FaultSpec spec = options.fault_spec();
-  std::optional<ReliableSyncSet> hardened;
-  if (options.reliable) hardened.emplace(set, spec);
-  SyncEngine engine(graph, hardened ? static_cast<SyncProgramSet&>(*hardened)
-                                    : set);
-  const RunAttachment attached(engine, graph, options);
-  const SyncMetrics metrics =
-      engine.run(kMaxRounds * (hardened ? hardened->round_dilation() : 1));
+  const SyncSetRun driven = drive(graph, set, options, kMaxRounds);
+  const SyncMetrics& metrics = driven.metrics;
   // Crashed nodes cannot color their arcs, and lossy channels without the
   // reliable wrapper void the algorithm's knowledge guarantees — such runs
   // report what happened instead of aborting, and the fault oracles judge
   // the outcome.
   const bool relaxed =
-      attached.faulted() &&
+      driven.faulted &&
       (spec.crash_fraction > 0.0 || spec.link_down_fraction > 0.0 ||
        !options.reliable);
   if (!relaxed)
@@ -453,10 +480,8 @@ ScheduleResult run_dist_mis(const Graph& graph,
   result.num_slots = result.coloring.num_colors_used();
   result.rounds = metrics.rounds;
   result.messages = metrics.messages;
-  if (hardened) {
-    result.transport = hardened->transport_stats();
-    result.suspected = hardened->suspected_peers();
-  }
+  result.transport = driven.transport;
+  result.suspected = driven.suspected;
   return result;
 }
 

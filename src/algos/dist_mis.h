@@ -54,8 +54,10 @@ struct DistMisOptions : RunConfig {
 /// Runs DistMIS over the synchronous engine and returns the schedule plus
 /// measured rounds/messages. The result's coloring is complete and feasible
 /// for any input graph (enforced by tests; the run aborts via contract_error
-/// on internal protocol violations).
-ScheduleResult run_dist_mis(const Graph& graph, const DistMisOptions& options);
+/// on internal protocol violations). `drive` runs the set on the engine
+/// (sim/reliable.h).
+ScheduleResult run_dist_mis(const Graph& graph, const DistMisOptions& options,
+                            const SyncSetDriver& drive = drive_sync_set);
 
 /// Tunables for an asynchronous DistMIS run (see run_dist_mis_async). The
 /// synchronizer needs reliable in-order frame delivery, so lossy fault

@@ -1,7 +1,6 @@
 #include "algos/dist_repair.h"
 
 #include <algorithm>
-#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -9,7 +8,6 @@
 #include "coloring/conflict.h"
 #include "graph/arcs.h"
 #include "sim/reliable.h"
-#include "sim/run_config.h"
 #include "sim/sync_engine.h"
 #include "support/check.h"
 #include "support/flat_hash.h"
@@ -348,23 +346,19 @@ class DistRepairSet final : public SyncProgramSet {
 DistRepairResult run_distributed_repair(const Graph& graph,
                                         const ArcColoring& stale,
                                         std::uint64_t seed,
-                                        const RunConfig& run) {
+                                        const RunConfig& run,
+                                        const SyncSetDriver& drive) {
   const ArcView view(graph);
   FDLSP_REQUIRE(stale.num_arcs() == view.num_arcs(),
                 "stale coloring does not match graph");
   DistRepairSet set(view, stale, seed);
-  std::optional<ReliableSyncSet> hardened;
-  if (run.reliable) hardened.emplace(set, run.fault_spec());
-  SyncEngine engine(graph, hardened ? static_cast<SyncProgramSet&>(*hardened)
-                                    : set);
-  const RunAttachment attached(engine, graph, run);
-  const SyncMetrics metrics =
-      engine.run(kMaxRounds * (hardened ? hardened->round_dilation() : 1));
+  const SyncSetRun driven = drive(graph, set, run, kMaxRounds);
+  const SyncMetrics& metrics = driven.metrics;
   // See dist_mis.cpp: faulted runs report their outcome for the fault
   // oracles to judge instead of aborting. Repair under unhardened loss
   // terminates with stale knowledge — conflicting survivors included —
   // which is exactly the failing case the shrinker minimizes.
-  const bool relaxed = attached.faulted();
+  const bool relaxed = driven.faulted;
   if (!relaxed)
     FDLSP_REQUIRE(metrics.completed, "distributed repair did not complete");
 
@@ -383,7 +377,7 @@ DistRepairResult run_distributed_repair(const Graph& graph,
   }
   if (!relaxed)
     FDLSP_REQUIRE(result.coloring.complete(), "repair left arcs uncolored");
-  if (hardened) result.transport = hardened->transport_stats();
+  result.transport = driven.transport;
   result.num_slots = result.coloring.num_colors_used();
   result.rounds = metrics.rounds;
   result.messages = metrics.messages;

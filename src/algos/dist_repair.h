@@ -52,10 +52,9 @@ struct DistRepairResult {
 /// coloring instead of the run aborting. The fixed-length
 /// flood-and-compete structure always terminates, so an unhardened lossy
 /// repair is the canonical *terminating but wrong* fault case the shrinker
-/// exercises.
-DistRepairResult run_distributed_repair(const Graph& graph,
-                                        const ArcColoring& stale,
-                                        std::uint64_t seed,
-                                        const RunConfig& run = {});
+/// exercises. `drive` runs the set on the engine (sim/reliable.h).
+DistRepairResult run_distributed_repair(
+    const Graph& graph, const ArcColoring& stale, std::uint64_t seed,
+    const RunConfig& run = {}, const SyncSetDriver& drive = drive_sync_set);
 
 }  // namespace fdlsp

@@ -8,13 +8,11 @@
 
 #include <algorithm>
 #include <map>
-#include <optional>
 #include <span>
 #include <vector>
 
 #include "graph/arcs.h"
 #include "sim/reliable.h"
-#include "sim/run_config.h"
 #include "sim/sync_engine.h"
 #include "support/check.h"
 #include "support/rng.h"
@@ -289,20 +287,16 @@ class RandomizedSet final : public SyncProgramSet {
 }  // namespace
 
 ScheduleResult run_randomized(const Graph& graph,
-                              const RandomizedOptions& options) {
+                              const RandomizedOptions& options,
+                              const SyncSetDriver& drive) {
   RandomizedSet set(graph, options.seed);
   const FaultSpec spec = options.fault_spec();
-  std::optional<ReliableSyncSet> hardened;
-  if (options.reliable) hardened.emplace(set, spec);
-  SyncEngine engine(graph, hardened ? static_cast<SyncProgramSet&>(*hardened)
-                                    : set);
-  const RunAttachment attached(engine, graph, options);
-  const SyncMetrics metrics =
-      engine.run(kMaxRounds * (hardened ? hardened->round_dilation() : 1));
+  const SyncSetRun driven = drive(graph, set, options, kMaxRounds);
+  const SyncMetrics& metrics = driven.metrics;
   // See dist_mis.cpp: crash/churn plans and unhardened lossy runs report
   // their outcome for the fault oracles to judge instead of aborting.
   const bool relaxed =
-      attached.faulted() &&
+      driven.faulted &&
       (spec.crash_fraction > 0.0 || spec.link_down_fraction > 0.0 ||
        !options.reliable);
   if (!relaxed)
@@ -323,10 +317,8 @@ ScheduleResult run_randomized(const Graph& graph,
   if (!relaxed)
     FDLSP_REQUIRE(result.coloring.complete(),
                   "randomized left arcs uncolored");
-  if (hardened) {
-    result.transport = hardened->transport_stats();
-    result.suspected = hardened->suspected_peers();
-  }
+  result.transport = driven.transport;
+  result.suspected = driven.suspected;
   result.num_slots = result.coloring.num_colors_used();
   result.rounds = metrics.rounds;
   result.messages = metrics.messages;

@@ -36,8 +36,10 @@ struct RandomizedOptions : RunConfig {
 };
 
 /// Runs the randomized distance-1 algorithm; returns a complete feasible
-/// schedule plus measured rounds/messages.
+/// schedule plus measured rounds/messages. `drive` runs the set on the
+/// engine (sim/reliable.h).
 ScheduleResult run_randomized(const Graph& graph,
-                              const RandomizedOptions& options = {});
+                              const RandomizedOptions& options = {},
+                              const SyncSetDriver& drive = drive_sync_set);
 
 }  // namespace fdlsp

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 #include <utility>
 
 #include "support/check.h"
@@ -180,12 +181,22 @@ void ReliableSyncSet::on_round(NodeId v, SyncContext& ctx,
     ctx.send(peer, make_control(kReliableAckTag, v, peer,
                                 peer_state(node.peers, peer).received()));
   sweep(ctx, node, round);
+  if (round % dilation_ == 0) run_inner(v, ctx, node);
 
+  // With an empty inbox, a call before the next window boundary or the
+  // earliest retransmit/probe deadline would find nothing due: sleep
+  // through those rounds (every deadline is past `round` by now).
+  std::size_t wake = (round / dilation_ + 1) * dilation_;
+  for (const PeerState& state : node.peers)
+    wake = std::min(wake, state.next_retx);
+  ctx.sleep_until(wake);
+}
+
+void ReliableSyncSet::run_inner(NodeId v, SyncContext& ctx, NodeState& node) {
   // Window boundary: assemble the previous inner round's inbox and run the
   // wrapped set one round for this node.
-  if (round % dilation_ != 0) return;
-  node.next_inner_round = round / dilation_;
-  std::vector<Message> assembled;
+  node.next_inner_round = ctx.round() / dilation_;
+  std::vector<Message>& assembled = node.assembled;
   for (PeerState& state : node.peers) {
     for (BufferedFrame& frame : state.buffered) {
       FDLSP_REQUIRE(frame.inner_round + 1 ==
@@ -204,6 +215,7 @@ void ReliableSyncSet::on_round(NodeId v, SyncContext& ctx,
   };
   SyncContext inner_ctx = ctx.reframed(node.next_inner_round, &capture);
   inner_->on_round(v, inner_ctx, assembled);
+  assembled.clear();
 }
 
 bool ReliableSyncSet::ready_for_phase_advance(NodeId v) const {
@@ -219,6 +231,24 @@ void ReliableSyncSet::on_phase(NodeId v, std::size_t new_phase) {
 
 bool ReliableSyncSet::finished(NodeId v) const {
   return inner_->finished(v) && channels_idle(nodes_[v]);
+}
+
+SyncSetRun drive_sync_set(const Graph& graph, SyncProgramSet& set,
+                          const RunConfig& run, std::size_t max_rounds) {
+  std::optional<ReliableSyncSet> hardened;
+  if (run.reliable) hardened.emplace(set, run.fault_spec());
+  SyncEngine engine(graph, hardened ? static_cast<SyncProgramSet&>(*hardened)
+                                    : set);
+  const RunAttachment attached(engine, graph, run);
+  SyncSetRun driven;
+  driven.metrics =
+      engine.run(max_rounds * (hardened ? hardened->round_dilation() : 1));
+  driven.faulted = attached.faulted();
+  if (hardened) {
+    driven.transport = hardened->transport_stats();
+    driven.suspected = hardened->suspected_peers();
+  }
+  return driven;
 }
 
 // ---------------------------------------------------------------------------

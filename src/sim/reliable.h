@@ -32,7 +32,10 @@
 // semantic, so reliability must preserve "all round-k messages arrive
 // before round k+1". The wrapper runs inner round k at outer round k*R
 // (R = round_dilation(spec)) and uses the R-1 outer rounds in between as
-// the retransmission window, sweeping due peers every outer round. Frames
+// the retransmission window, sweeping due peers. A node with nothing due
+// sleeps (SyncContext::sleep_until) until the next window boundary or its
+// earliest retransmit/probe deadline, so the engine calls it only on mail
+// and on those rounds — a few calls per window instead of R. Frames
 // carry their inner round number, receivers buffer them per peer, and the
 // inner inbox for round k is assembled — sorted by (peer, sequence) for
 // determinism — once the window guarantees every round-k frame has landed.
@@ -52,11 +55,13 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
 #include "sim/async_engine.h"
 #include "sim/fault.h"
+#include "sim/run_config.h"
 #include "sim/sync_engine.h"
 #include "sim/transport.h"
 
@@ -111,11 +116,13 @@ class ReliableSyncSet final : public SyncProgramSet {
     std::size_t next_inner_round = 0;  // next inner round to execute
     std::vector<PeerState> peers;      // sorted by peer id
     std::vector<NodeId> ack_due;       // peers to ack this round
+    std::vector<Message> assembled;    // inner inbox; capacity recycled
     TransportStats stats;
   };
 
   void capture_send(SyncContext& ctx, NodeId to, const Message& message);
   void sweep(SyncContext& ctx, NodeState& node, std::size_t round);
+  void run_inner(NodeId v, SyncContext& ctx, NodeState& node);
   static void handle_frame(NodeState& node, PeerState& state,
                            const Message& message);
   static std::size_t backoff_interval(const SyncContext& ctx, NodeState& node,
@@ -127,6 +134,27 @@ class ReliableSyncSet final : public SyncProgramSet {
   TransportBudgets budgets_;
   std::vector<NodeState> nodes_;  // indexed by node id
 };
+
+/// What driving one program set through a synchronous run reports.
+struct SyncSetRun {
+  SyncMetrics metrics;
+  bool faulted = false;           ///< a FaultPlan was installed
+  TransportStats transport;       ///< summed over nodes; hardened runs only
+  std::vector<NodeId> suspected;  ///< sorted and unique; hardened runs only
+};
+
+/// Drives `set` through one synchronous scheduling run: hardens it with a
+/// ReliableSyncSet when `run.reliable`, installs `run` on a SyncEngine, and
+/// runs at most `max_rounds` rounds of the set (outer rounds, when
+/// hardened, scale by the wrapper's dilation).
+SyncSetRun drive_sync_set(const Graph& graph, SyncProgramSet& set,
+                          const RunConfig& run, std::size_t max_rounds);
+
+/// The drive step of the synchronous runners (run_dist_mis,
+/// run_randomized, run_distributed_repair): drive_sync_set unless a
+/// harness passes its own, e.g. to wrap the set the engine drives.
+using SyncSetDriver = std::function<SyncSetRun(
+    const Graph&, SyncProgramSet&, const RunConfig&, std::size_t)>;
 
 /// Reliable-delivery wrapper for the asynchronous engine (timer retransmit).
 class ReliableAsyncProgram final : public AsyncProgram {

@@ -1,6 +1,8 @@
 #include "sim/sync_engine.h"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <utility>
 
 #include "support/alloc_audit.h"
@@ -241,17 +243,122 @@ void SyncEngine::deliver_faulted(ArcId channel, NodeId from, NodeId to,
   FDLSP_REQUIRE(false, "unknown fault action");
 }
 
+namespace {
+
+constexpr std::size_t kWordBits = 64;
+
+void set_bit(std::vector<std::uint64_t>& bits, NodeId v) noexcept {
+  bits[v / kWordBits] |= std::uint64_t{1} << (v % kWordBits);
+}
+
+void clear_bit(std::vector<std::uint64_t>& bits, NodeId v) noexcept {
+  bits[v / kWordBits] &= ~(std::uint64_t{1} << (v % kWordBits));
+}
+
+/// Visits the set bits of `bitmap` in [lo, hi), ascending. Each word is
+/// read once, before its nodes run; callbacks never write the bitmap.
+template <typename Visit>
+void for_each_set_bit(const std::vector<std::uint64_t>& bitmap,
+                      std::size_t lo, std::size_t hi, Visit&& visit) {
+  if (lo >= hi) return;
+  const std::size_t first = lo / kWordBits;
+  const std::size_t last = (hi - 1) / kWordBits;
+  for (std::size_t w = first; w <= last; ++w) {
+    std::uint64_t bits = bitmap[w];
+    if (w == first) bits &= ~std::uint64_t{0} << (lo % kWordBits);
+    if (w == last && hi % kWordBits != 0)
+      bits &= (std::uint64_t{1} << (hi % kWordBits)) - 1;
+    while (bits != 0) {
+      const auto bit = static_cast<std::size_t>(std::countr_zero(bits));
+      bits &= bits - 1;
+      visit(static_cast<NodeId>(w * kWordBits + bit));
+    }
+  }
+}
+
+}  // namespace
+
+/// Adds this round's mail recipients and due sleepers to the runnable set.
+/// Mail wakes its recipient whether it sleeps or has finished; the dirty
+/// buckets after the slab swap list exactly the boxes holding mail. A
+/// calendar entry whose round no longer matches its node's wake_ is stale
+/// (a mail wake, a phase advance or a crash ended that sleep) and is
+/// dropped without a call.
+// fdlsp-lint: hot — per-round steady-state path, no allocator traffic
+void SyncEngine::wake_runnable(std::size_t round) {
+  for (const std::vector<NodeId>& bucket : dirty_inbox_)
+    for (const NodeId v : bucket) set_bit(runnable_, v);
+  while (!calendar_.empty() && calendar_.front().round <= round) {
+    const SyncWake due = calendar_.front();
+    std::pop_heap(calendar_.begin(), calendar_.end(), std::greater<>{});
+    calendar_.pop_back();
+    if (wake_[due.node] == due.round) set_bit(runnable_, due.node);
+  }
+}
+
+/// Records where node v goes after its callback in round `round`: it stays
+/// runnable when unfinished and awake; otherwise it leaves the runnable set
+/// through `settled` (its shard's buffer), with a calendar entry when it
+/// sleeps to a new wake round. Writes only v's own wake_ slot.
+// fdlsp-lint: hot — per-callback steady-state path, no allocator traffic
+void SyncEngine::settle(NodeId v, bool finished, std::size_t wake,
+                        std::size_t round, std::vector<SyncWake>& settled) {
+  if (!finished && wake <= round + 1) {
+    wake_[v] = 0;
+    return;
+  }
+  const std::size_t until = finished ? 0 : wake;
+  // Re-sleeping to the round the live entry already holds adds no entry.
+  settled.push_back(SyncWake{until != wake_[v] ? until : 0, v});
+  wake_[v] = until;
+}
+
+/// Applies every shard's buffered exits to the bitmap and the calendar, on
+/// the driving thread after the round.
+// fdlsp-lint: hot — per-round steady-state path, no allocator traffic
+void SyncEngine::apply_settled() {
+  for (std::vector<SyncWake>& settled : settled_) {
+    for (const SyncWake& exit : settled) {
+      clear_bit(runnable_, exit.node);
+      if (exit.round == 0) continue;
+      calendar_.push_back(exit);
+      std::push_heap(calendar_.begin(), calendar_.end(), std::greater<>{});
+    }
+    settled.clear();
+  }
+}
+
+/// Makes every unfinished node runnable and cancels every sleep: the run's
+/// start, and each phase advance.
+void SyncEngine::wake_all(const std::vector<char>& finished) {
+  std::fill(runnable_.begin(), runnable_.end(), std::uint64_t{0});
+  std::fill(wake_.begin(), wake_.end(), std::size_t{0});
+  calendar_.clear();  // every entry is stale now
+  for (NodeId v = 0; v < finished.size(); ++v)
+    if (finished[v] == 0) set_bit(runnable_, v);
+}
+
 SyncMetrics SyncEngine::run(std::size_t max_rounds) {
   SyncMetrics metrics;
   std::size_t phase = 0;
   const std::size_t n = graph_.num_nodes();
+  // Fault path: (crash round, node) ascending; the round loop consumes the
+  // due prefix instead of rescanning every node.
+  std::vector<std::pair<std::size_t, NodeId>> crashes;
   if (faults_ != nullptr) {
     faults_->on_run_start();
     channel_posts_.assign(2 * graph_.num_edges(), 0);
     // Per-(neighbor-pair) channel ids, computed once and reused for every
     // faulted message.
     channels_.build(graph_);
+    // A node is down from the first round at or after its crash time.
+    for (NodeId v = 0; v < n; ++v)
+      if (faults_->node_crashes(v))
+        crashes.emplace_back(
+            static_cast<std::size_t>(std::ceil(faults_->crash_time(v))), v);
+    std::sort(crashes.begin(), crashes.end());
   }
+  std::size_t next_crash = 0;
 
   // Parallel rounds need protocol isolation *and* silent seams: a trace
   // observes callback/send order and a fault plan mutates per-message
@@ -295,6 +402,13 @@ SyncMetrics SyncEngine::run(std::size_t max_rounds) {
   };
   current_round_ = 0;
   for (NodeId v = 0; v < n; ++v) refresh(v);
+
+  // Wake state, sized once per run and recycled across runs like the
+  // inbox slabs (a later run with fewer shards leaves buffers empty).
+  runnable_.resize((n + kWordBits - 1) / kWordBits);
+  wake_.resize(n);
+  if (settled_.size() < shards) settled_.resize(shards);
+  wake_all(finished);
 
   // --- sharded-run machinery (unused on the serial path) ---
   // Shards are contiguous node ranges. Each shard's callbacks buffer their
@@ -341,15 +455,14 @@ SyncMetrics SyncEngine::run(std::size_t max_rounds) {
       drdy += rdy ? 1 : -1;
     }
   };
+  // A shard visits the runnable nodes of its own range; the bitmap is
+  // read-only until apply_settled() runs after the barrier.
   const auto round_shard = [&](std::size_t s, std::size_t round_no,
                                std::size_t phase_no) {
     SyncSendSlab* lanes = lanes_.data() + s * shards;
     std::ptrdiff_t dfin = 0;
     std::ptrdiff_t drdy = 0;
-    const std::size_t hi = plan_.hi(s);
-    for (std::size_t i = plan_.lo(s); i < hi; ++i) {
-      const NodeId v = static_cast<NodeId>(i);
-      if (finished[v] != 0 && inbox_count_[v] == 0) continue;
+    for_each_set_bit(runnable_, plan_.lo(s), plan_.hi(s), [&](NodeId v) {
       SyncContext ctx(this, v, graph_.neighbors(v), round_no, phase_no);
       ctx.lanes_ = lanes;
       ctx.plan_ = plan_;
@@ -358,7 +471,8 @@ SyncMetrics SyncEngine::run(std::size_t max_rounds) {
       set_->on_round(
           v, ctx, std::span<const Message>(inbox_[v].data(), inbox_count_[v]));
       refresh_local(v, dfin, drdy);
-    }
+      settle(v, finished[v] != 0, ctx.wake_, round_no, settled_[s]);
+    });
     shard_fin[s] = dfin;
     shard_rdy[s] = drdy;
   };
@@ -414,12 +528,16 @@ SyncMetrics SyncEngine::run(std::size_t max_rounds) {
 
   while (metrics.rounds < max_rounds) {
     current_round_ = metrics.rounds;
-    if (faults_ != nullptr) {
-      // Down-ness changes with the round counter, not inside callbacks, so
-      // the cached predicates must be recomputed when nodes cross their
-      // crash time (fault path only; the zero-fault loop never scans).
-      for (NodeId v = 0; v < n; ++v)
-        if (finished[v] == 0 && is_down(v)) refresh(v);
+    // Down-ness changes with the round counter, not inside callbacks, so
+    // nodes crossing their crash round are refreshed here and leave the
+    // runnable set (fault path only; the list is empty otherwise).
+    for (; next_crash < crashes.size() &&
+           crashes[next_crash].first <= current_round_;
+         ++next_crash) {
+      const NodeId v = crashes[next_crash].second;
+      if (finished[v] == 0) refresh(v);
+      clear_bit(runnable_, v);
+      wake_[v] = 0;
     }
     if (finished_count == n) {
       metrics.completed = true;
@@ -433,7 +551,8 @@ SyncMetrics SyncEngine::run(std::size_t max_rounds) {
     if (alloc_audit_ != nullptr) alloc_audit_->begin_round();
 
     // Barrier: when nothing is in flight and everyone votes ready, advance
-    // the phase counter instead of burning an idle round.
+    // the phase counter instead of burning an idle round. on_phase cancels
+    // every sleep.
     if (pending_messages_ == 0 && ready_count == n) {
       ++phase;
       ++metrics.phases;
@@ -448,6 +567,7 @@ SyncMetrics SyncEngine::run(std::size_t max_rounds) {
           refresh(v);
         }
       }
+      wake_all(finished);
       if (finished_count == n) {
         metrics.completed = true;
         break;
@@ -467,6 +587,7 @@ SyncMetrics SyncEngine::run(std::size_t max_rounds) {
       bucket.clear();
     }
     pending_messages_ = 0;
+    wake_runnable(metrics.rounds);
 
     if (parallel) {
       run_sharded(
@@ -479,17 +600,18 @@ SyncMetrics SyncEngine::run(std::size_t max_rounds) {
         shard_enqueued_[d] = 0;
       }
     } else {
-      for (NodeId v = 0; v < n; ++v) {
+      for_each_set_bit(runnable_, 0, n, [&](NodeId v) {
         const std::span<const Message> inbox(inbox_[v].data(),
                                              inbox_count_[v]);
         if (is_down(v)) {
           // Mail queued for a dead node dies with it.
-          if (faults_ != nullptr)
-            faults_->stats().crash_drops += inbox.size();
+          faults_->stats().crash_drops += inbox.size();
           inbox_count_[v] = 0;
-          continue;
+          settle(v, true, 0, metrics.rounds, settled_[0]);
+          return;
         }
-        if (finished[v] != 0 && inbox.empty()) continue;
+        FDLSP_ASSERT(finished[v] == 0 || !inbox.empty(),
+                     "a finished node runs only on mail");
         if (trace_ != nullptr) {
           for (const Message& message : inbox)
             trace_->on_deliver(message.from, v);
@@ -498,8 +620,10 @@ SyncMetrics SyncEngine::run(std::size_t max_rounds) {
         SyncContext ctx(this, v, graph_.neighbors(v), metrics.rounds, phase);
         set_->on_round(v, ctx, inbox);
         refresh(v);
-      }
+        settle(v, finished[v] != 0, ctx.wake_, metrics.rounds, settled_[0]);
+      });
     }
+    apply_settled();
     if (alloc_audit_ != nullptr) alloc_audit_->end_round();
     ++metrics.rounds;
   }

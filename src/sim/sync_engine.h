@@ -19,6 +19,16 @@
 // program interface — every synchronous protocol, and the reliable
 // wrapper that hardens one (sim/reliable.h), is written as a set.
 //
+// Sleeping nodes (DESIGN.md §11): a node may promise, through
+// SyncContext::sleep_until, that its next few empty-inbox rounds would do
+// nothing. The engine keeps a runnable bitmap — the awake unfinished
+// nodes, this round's mail recipients, and the due entries of a calendar
+// of sleepers — and visits only its set bits, in ascending id order (the
+// serial send order). A round therefore costs O(awake + n/64), not O(n),
+// and a node that never sleeps runs every round exactly as before. Crash
+// times under a fault plan are consumed from one sorted list, not by an
+// O(n) rescan per round.
+//
 // Sharded parallel rounds (DESIGN.md §11, §14): node callbacks are
 // protocol-isolated — a node's callback only touches that node's state, its
 // shard's scratch and the read-only graph (fdlsp-lint's cross-node-state
@@ -37,6 +47,8 @@
 #pragma once
 
 #include <algorithm>
+#include <compare>
+#include <cstdint>
 #include <functional>
 #include <span>
 #include <vector>
@@ -180,6 +192,21 @@ class SyncContext {
   /// this node's id regardless.
   void broadcast(const Message& message);
 
+  /// Promises that, with an empty inbox, this node's on_round in every
+  /// round before `round` would change nothing and send nothing, so the
+  /// engine skips those calls (DESIGN.md §11). The node runs again at
+  /// `round`, or earlier when mail arrives for it or the phase advances:
+  /// on_phase cancels every sleep. A node that never calls this runs next
+  /// round, exactly as without it; `round` at most one past the current
+  /// round is the same as not calling. The last call of a callback wins.
+  /// Only the context the engine handed out counts: reframed and external
+  /// copies (a set layered inside another, the α-synchronizer) ignore the
+  /// call, because their round counter is not the engine's. A finished
+  /// node still runs only on mail, whatever it promised.
+  void sleep_until(std::size_t round) noexcept {
+    if (capture_ == nullptr) wake_ = round;
+  }
+
   /// A copy of this context for a program set layered *inside* another
   /// (sim/reliable.h): round() reports the wrapped set's own round counter
   /// and send()/broadcast() feed `capture` instead of the engine, so the
@@ -237,6 +264,7 @@ class SyncContext {
   std::span<const NeighborEntry> neighbors_;
   std::size_t round_;
   std::size_t phase_;
+  std::size_t wake_ = 0;  // sleep_until() target; 0 = run next round
   // Non-null: capture instead of send (reframed and external contexts).
   const SyncCaptureSink* capture_ = nullptr;
   // Non-null on parallel rounds: the executing shard's row of per-
@@ -273,9 +301,13 @@ class SyncProgramSet {
   virtual void prepare_shards(std::size_t shards) { (void)shards; }
 
   /// Executes one round of node v: consume this round's inbox, send next
-  /// round's messages. Called once per round for every node that has not
-  /// finished or has mail, in unspecified order (sends are buffered, so
-  /// order cannot be observed).
+  /// round's messages. Called once per round for every node that has mail,
+  /// and for every unfinished node that is not asleep, in unspecified order
+  /// (sends are buffered, so order cannot be observed). A callback puts its
+  /// node to sleep with ctx.sleep_until(r), promising that its empty-inbox
+  /// calls before round r would change nothing and send nothing; the node
+  /// runs again at r, on its next mail, or at the next phase advance. A
+  /// set that never sleeps is called every round it is unfinished.
   virtual void on_round(NodeId v, SyncContext& ctx,
                         std::span<const Message> inbox) = 0;
 
@@ -355,6 +387,20 @@ class SyncEngine {
 
  private:
   friend class SyncContext;
+  /// A node leaving the runnable set after its callback (engine internal):
+  /// asleep until `round`, or — with `round` 0 — finished, crashed, or
+  /// re-sleeping to a wake its live calendar entry already holds.
+  struct SyncWake {
+    std::size_t round;
+    NodeId node;
+    auto operator<=>(const SyncWake&) const = default;
+  };
+
+  void wake_runnable(std::size_t round);
+  void settle(NodeId v, bool finished, std::size_t wake, std::size_t round,
+              std::vector<SyncWake>& settled);
+  void apply_settled();
+  void wake_all(const std::vector<char>& finished);
   void deliver(NodeId from, NodeId to, Message&& message);
   void deliver_trusted(NodeId from, NodeId to, Message&& message);
   void deliver_trusted_copy(NodeId from, NodeId to, const Message& message);
@@ -384,6 +430,20 @@ class SyncEngine {
   std::vector<std::vector<NodeId>> dirty_next_;   // next_inbox_ boxes
   std::size_t pending_messages_ = 0;
   std::size_t total_messages_ = 0;
+  // --- sleeping nodes (sized at run start, recycled across runs) ---
+  // Bit v of runnable_ is set between rounds iff v is unfinished and
+  // awake; wake_runnable() adds this round's mail recipients and due
+  // sleepers, and the round visits exactly the set bits. The bitmap is
+  // read-only while callbacks run: each shard buffers its nodes' exits
+  // (SyncWake) in settled_[shard], applied after the round by the driving
+  // thread, so no bitmap word is ever written by two workers.
+  std::vector<std::uint64_t> runnable_;
+  // Per node: the round its live calendar entry wakes it, 0 when none.
+  // Calendar entries are checked against it lazily, so an entry a mail
+  // wake or a phase advance made stale never causes a call.
+  std::vector<std::size_t> wake_;
+  std::vector<SyncWake> calendar_;               // min-heap on (round, node)
+  std::vector<std::vector<SyncWake>> settled_;   // per shard, this round
   SimTrace* trace_ = nullptr;
   FaultPlan* faults_ = nullptr;
   ThreadPool* pool_ = nullptr;  // non-null: shard state across workers

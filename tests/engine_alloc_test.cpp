@@ -2,7 +2,9 @@
 // message path: a full DistMIS-GBG run on the paper-scale UDG fixture
 // (n=1000, average degree ~6 — the headline BM_DistMisUdg row) must reach a
 // state where rounds stop touching the allocator entirely, on the serial
-// engine AND the sharded pooled engine.
+// engine AND the sharded pooled engine. A set whose nodes sleep between
+// sends (SyncContext::sleep_until) holds the engine's calendar of sleepers
+// and per-shard wake buffers to the same tail on all three paths.
 //
 // The assertions are margin-based rather than exact counts so that benign
 // library-version drift in container growth policies does not break the
@@ -30,6 +32,7 @@
 #include "algos/dist_mis.h"
 #include "graph/generators.h"
 #include "sim/async_engine.h"
+#include "sim/sync_engine.h"
 #include "support/alloc_audit.h"
 #include "support/rng.h"
 #include "support/thread_pool.h"
@@ -126,6 +129,76 @@ TEST(EngineAllocProfile, ShardedDistMisKeepsZeroAllocTailPerShardCount) {
   ThreadPool pool(2);
   for (const std::size_t shards : {2u, 8u})
     assert_steady_state_profile(graph, &pool, shards);
+}
+
+/// Nodes that now and then broadcast a one-word beacon and sleep a hashed
+/// 2–7 rounds after every call. Mail wakes them early, so the engine's
+/// calendar holds live and stale entries alike. Nobody ever finishes: the
+/// run ends at the round cap.
+class BeaconSleepSet final : public SyncProgramSet {
+ public:
+  explicit BeaconSleepSet(std::size_t nodes) : heard_(nodes, 0) {}
+
+  std::size_t size() const override { return heard_.size(); }
+  void on_round(NodeId v, SyncContext& ctx,
+                std::span<const Message> inbox) override {
+    heard_[v] += inbox.size();
+    std::uint64_t h = (static_cast<std::uint64_t>(v) << 32) ^ ctx.round();
+    h *= 0x9e3779b97f4a7c15ULL;
+    h ^= h >> 31;
+    if (h % 8 == 0) {
+      Message beacon;
+      beacon.tag = 1;
+      beacon.data = {static_cast<std::int64_t>(v)};
+      ctx.broadcast(beacon);
+    }
+    ctx.sleep_until(ctx.round() + 2 + (h >> 8) % 6);
+  }
+  bool ready_for_phase_advance(NodeId) const override { return false; }
+  void on_phase(NodeId, std::size_t) override {}
+  bool finished(NodeId) const override { return false; }
+
+  std::uint64_t heard() const {
+    return std::accumulate(heard_.begin(), heard_.end(), std::uint64_t{0});
+  }
+
+ private:
+  std::vector<std::uint64_t> heard_;
+};
+
+/// Runs BeaconSleepSet with the auditor attached and asserts the same
+/// steady-state profile as the DistMIS gate: sleeping nodes, the calendar
+/// and the per-shard wake buffers allocate only while warming up.
+void assert_sleeping_steady_state_profile(const Graph& graph, ThreadPool* pool,
+                                          std::size_t shards = 0) {
+  AllocAudit audit;
+  BeaconSleepSet set(graph.num_nodes());
+  SyncEngine engine(graph, set);
+  engine.set_alloc_audit(&audit);
+  engine.set_thread_pool(pool);
+  engine.set_shards(shards);
+  const SyncMetrics metrics = engine.run(400);
+  ASSERT_EQ(metrics.rounds, 400U);
+  ASSERT_EQ(audit.rounds(), 400U);
+  EXPECT_GT(set.heard(), 0U);
+  ASSERT_NE(audit.last_allocating_round(), AllocAudit::kNoRound);
+  EXPECT_LE(audit.last_allocating_round() + 20, audit.rounds())
+      << "no allocation-free tail — sleeping rounds allocate";
+  EXPECT_LE(audit.allocating_rounds(), audit.rounds() / 3);
+  EXPECT_LT(audit.total_allocations(), 20'000U);
+}
+
+TEST(EngineAllocProfile, SleepingNodesKeepZeroAllocTail) {
+  // The calendar of sleepers and the per-shard wake buffers are recycled
+  // like the inbox slabs, on every execution path.
+  if (!alloc_audit_enabled())
+    GTEST_SKIP() << "allocation hooks compiled out (sanitizer build)";
+  const Graph graph = paper_udg(1000);
+  assert_sleeping_steady_state_profile(graph, nullptr);
+  ThreadPool pool(2);
+  assert_sleeping_steady_state_profile(graph, &pool);
+  for (const std::size_t shards : {2u, 8u})
+    assert_sleeping_steady_state_profile(graph, &pool, shards);
 }
 
 /// Runs asynchronous DistMIS-GBG with the per-event auditor attached and

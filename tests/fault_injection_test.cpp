@@ -255,6 +255,48 @@ TEST(FaultInjectionTest, DfsSurvivesLossAcrossDelayModels) {
   EXPECT_GE(checked, 12u);
 }
 
+// Unhardened DistMIS under corruption: a corrupted tag, length, origin,
+// TTL, arc or color is treated as a lost message, never trusted. Every run
+// returns a result for the fault oracles to judge, pass or fail, instead
+// of aborting with a contract_error (it used to die on a corrupted color
+// or an unknown tag).
+TEST(FaultInjectionTest, UnhardenedDistMisTreatsMalformedMessagesAsLost) {
+  FaultSpec spec;
+  spec.seed = 7;
+  spec.drop_rate = 0.1;
+  spec.duplicate_rate = 0.1;
+  spec.corrupt_rate = 0.05;
+  std::size_t judged = 0;
+  std::size_t corrupted = 0;
+  for (const GraphFamily family :
+       {GraphFamily::kUdg, GraphFamily::kGrid, GraphFamily::kRing}) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      Scenario scenario;
+      scenario.family = family;
+      scenario.n = 12;
+      scenario.density = 0.4;
+      scenario.seed = seed;
+      const Graph graph = materialize(scenario);
+      for (const SchedulerKind kind :
+           {SchedulerKind::kDistMisGbg, SchedulerKind::kDistMisGeneral}) {
+        const std::string repro =
+            fault_repro_command(scenario, scheduler_name(kind), spec) +
+            " --reliable=0";
+        ScheduleResult result;
+        ASSERT_NO_THROW(result =
+                            run_scheduler(kind, graph, seed, {.faults = &spec}))
+            << repro;
+        const OracleVerdict verdict = check_fault_result(graph, result);
+        EXPECT_TRUE(verdict.ok || !verdict.failure.empty()) << repro;
+        corrupted += result.faults.corrupted;
+        ++judged;
+      }
+    }
+  }
+  EXPECT_EQ(judged, 18u);
+  EXPECT_GT(corrupted, 0u) << "the plan never corrupted a message";
+}
+
 // Crash-recovery workflow: crash/churn plans orphan part of a clean
 // schedule; dist_repair must restore feasibility while touching only the
 // distance-2 neighborhood of the faulted region.

@@ -8,6 +8,9 @@
 #include <vector>
 
 #include "algos/dfs_schedule.h"
+#include "algos/dist_mis.h"
+#include "algos/dist_repair.h"
+#include "algos/randomized.h"
 #include "algos/scheduler.h"
 #include "coloring/checker.h"
 #include "graph/arcs.h"
@@ -15,6 +18,8 @@
 #include "graph/graph.h"
 #include "sim/fault.h"
 #include "sim/reliable.h"
+#include "sim/run_config.h"
+#include "sim/sync_engine.h"
 #include "support/rng.h"
 #include "verify/fault_oracles.h"
 
@@ -282,6 +287,174 @@ TEST(AdaptiveTransportTest, RecoveryAfterOutageRetrusts) {
     EXPECT_TRUE(is_feasible_schedule(view, result.coloring))
         << scheduler_name(kind);
   }
+}
+
+// --- Sleeping through idle window rounds is invisible ---
+
+/// Forwards every call to a ReliableSyncSet and counts the engine's
+/// on_round calls. An insomniac one then calls ctx.sleep_until(round + 1),
+/// which overrides the wrapper's sleep: every unfinished node runs every
+/// outer round, as before the engine let nodes sleep.
+class CountingDecorator final : public SyncProgramSet {
+ public:
+  CountingDecorator(ReliableSyncSet& hardened, bool insomniac)
+      : hardened_(&hardened), insomniac_(insomniac) {}
+
+  std::size_t calls() const { return calls_; }
+
+  std::size_t size() const override { return hardened_->size(); }
+  void prepare_shards(std::size_t shards) override {
+    hardened_->prepare_shards(shards);
+  }
+  void on_round(NodeId v, SyncContext& ctx,
+                std::span<const Message> inbox) override {
+    ++calls_;
+    hardened_->on_round(v, ctx, inbox);
+    if (insomniac_) ctx.sleep_until(ctx.round() + 1);
+  }
+  bool ready_for_phase_advance(NodeId v) const override {
+    return hardened_->ready_for_phase_advance(v);
+  }
+  void on_phase(NodeId v, std::size_t new_phase) override {
+    hardened_->on_phase(v, new_phase);
+  }
+  bool finished(NodeId v) const override { return hardened_->finished(v); }
+
+ private:
+  ReliableSyncSet* hardened_;
+  bool insomniac_;
+  std::size_t calls_ = 0;  // faulted runs are serial: one thread counts
+};
+
+/// A driver that hardens the runner's set and puts a CountingDecorator on
+/// top; `calls` accumulates the decorator's counts over every run.
+SyncSetDriver decorated(bool insomniac, std::size_t& calls) {
+  return [insomniac, &calls](const Graph& graph, SyncProgramSet& set,
+                             const RunConfig& run, std::size_t max_rounds) {
+    ReliableSyncSet hardened(set, run.fault_spec());
+    CountingDecorator outer(hardened, insomniac);
+    SyncEngine engine(graph, outer);
+    const RunAttachment attached(engine, graph, run);
+    SyncSetRun driven;
+    driven.metrics = engine.run(max_rounds * hardened.round_dilation());
+    driven.faulted = attached.faulted();
+    driven.transport = hardened.transport_stats();
+    driven.suspected = hardened.suspected_peers();
+    calls += outer.calls();
+    return driven;
+  };
+}
+
+/// Everything a hardened run reports, for byte-for-byte comparison.
+struct RunRecord {
+  std::vector<Color> colors;
+  std::size_t rounds = 0;
+  std::size_t messages = 0;
+  bool completed = false;
+  std::vector<std::uint64_t> faults;
+  std::vector<double> transport;
+  std::vector<NodeId> suspected;
+  bool operator==(const RunRecord&) const = default;
+};
+
+RunRecord record(const ArcColoring& coloring, std::size_t rounds,
+                 std::size_t messages, bool completed, const FaultStats& f,
+                 const TransportStats& t, std::vector<NodeId> suspected) {
+  RunRecord r;
+  for (ArcId a = 0; a < coloring.num_arcs(); ++a)
+    r.colors.push_back(coloring.color(a));
+  r.rounds = rounds;
+  r.messages = messages;
+  r.completed = completed;
+  r.faults = {f.dropped,      f.duplicated,   f.corrupted,
+              f.burst_dropped, f.prr_dropped, f.region_drops,
+              f.link_down_drops, f.crash_drops};
+  r.transport = {static_cast<double>(t.retransmits),
+                 static_cast<double>(t.probes),
+                 static_cast<double>(t.suspicions),
+                 static_cast<double>(t.retrusts),
+                 static_cast<double>(t.abandoned), t.max_backoff};
+  r.suspected = std::move(suspected);
+  return r;
+}
+
+RunRecord record(const ScheduleResult& result) {
+  return record(result.coloring, result.rounds, result.messages,
+                result.completed, result.faults, result.transport,
+                result.suspected);
+}
+
+RunRecord record(const DistRepairResult& result) {
+  return record(result.coloring, result.rounds, result.messages,
+                result.completed, result.faults, result.transport, {});
+}
+
+TEST(ReliableSleepTest, SleepingThroughIdleWindowRoundsIsInvisible) {
+  FaultSpec lossy;  // i.i.d. loss plus Gilbert–Elliott bursts
+  lossy.seed = 19;
+  lossy.drop_rate = 0.1;
+  lossy.burst_rate = 0.2;
+  lossy.burst_recover = 0.3;
+  FaultSpec crash;  // fail-stops that the detector must convict
+  crash.seed = 23;
+  crash.drop_rate = 0.05;
+  crash.crash_fraction = 0.2;
+  crash.crash_horizon = 40.0;
+  // Neighbors of a dead node retransmit and then probe it every 2–5 outer
+  // rounds until the detector convicts it, so the share of skipped calls
+  // shrinks as crashed nodes crowd a small graph (about 89.9% on a 4x4
+  // grid at this crash rate, 91% on 6x6).
+  const Graph graph = generate_grid(6, 6);
+  const ArcView view(graph);
+  const ScheduleResult clean =
+      run_scheduler(SchedulerKind::kDistMisGbg, graph, 3);
+  ArcColoring stale = clean.coloring;
+  for (const NeighborEntry& entry : graph.neighbors(14))
+    stale.clear(view.arc_from(entry.edge, 14));
+
+  std::size_t plans = 0;
+  for (const FaultSpec& spec : {lossy, crash}) {
+    const RunConfig run{.faults = &spec, .reliable = true};
+    DistMisOptions mis;
+    mis.seed = 3;
+    mis.faults = &spec;
+    mis.reliable = true;
+    RandomizedOptions randomized;
+    randomized.seed = 3;
+    randomized.faults = &spec;
+    randomized.reliable = true;
+    // Each algorithm runs plain, under a counting pass-through decorator
+    // (the wrapper still sleeps) and under the insomniac one.
+    const auto runs = [&](const SyncSetDriver& drive) {
+      return std::vector<RunRecord>{
+          record(run_dist_mis(graph, mis, drive)),
+          record(run_randomized(graph, randomized, drive)),
+          record(run_distributed_repair(graph, stale, 3, run, drive))};
+    };
+    const std::vector<RunRecord> plain = runs(drive_sync_set);
+    std::size_t sleeping_calls = 0;
+    std::size_t insomniac_calls = 0;
+    const std::vector<RunRecord> counted =
+        runs(decorated(false, sleeping_calls));
+    const std::vector<RunRecord> awake =
+        runs(decorated(true, insomniac_calls));
+    const char* names[] = {"distMIS", "randomized", "dist_repair"};
+    for (std::size_t i = 0; i < plain.size(); ++i) {
+      EXPECT_EQ(plain[i], counted[i]) << names[i] << ", plan " << plans;
+      EXPECT_EQ(plain[i], awake[i]) << names[i] << ", plan " << plans;
+      EXPECT_GT(plain[i].rounds, 0u) << names[i] << ", plan " << plans;
+    }
+    // The crash plan drives the detector, whose verdicts must match too.
+    if (spec.crash_fraction > 0.0) {
+      EXPECT_FALSE(plain[0].suspected.empty()) << "no peer was suspected";
+    }
+    // The three runs' call counts were summed per decorator; sleeping
+    // skips at least 90% of the outer calls.
+    EXPECT_GT(insomniac_calls, 0u);
+    EXPECT_LE(10 * sleeping_calls, insomniac_calls) << "plan " << plans;
+    ++plans;
+  }
+  EXPECT_EQ(plans, 2u);
 }
 
 }  // namespace

@@ -7,6 +7,8 @@
 #include "graph/generators.h"
 #include "sim/sync_engine.h"
 #include "support/check.h"
+#include "support/rng.h"
+#include "support/thread_pool.h"
 
 namespace fdlsp {
 namespace {
@@ -217,6 +219,246 @@ TEST(SyncEngine, RequiresOneProgramPerNode) {
   const Graph path = generate_path(3);
   IdleSet set(1);
   EXPECT_THROW(SyncEngine(path, set), contract_error);
+}
+
+// --- Sleeping nodes (SyncContext::sleep_until) ---
+
+/// One logged callback: on_round (round, mail count) or on_phase (phase,
+/// kPhaseMark).
+struct Call {
+  std::size_t round;
+  std::size_t mail;
+  bool operator==(const Call&) const = default;
+};
+constexpr std::size_t kPhaseMark = ~std::size_t{0};
+
+/// A scripted sleeper that logs every callback per node. By default a node
+/// sleeps `nap` rounds after each call; a scripted step for (node, round)
+/// instead sends one message, then sleeps until its wake round, and may
+/// finish the node or vote for a phase advance. on_phase withdraws the vote.
+class SleepySet final : public SyncProgramSet {
+ public:
+  struct Step {
+    NodeId node;
+    std::size_t round;
+    std::size_t wake;
+    NodeId send_to = kNoNode;
+    bool finish = false;
+    bool vote = false;
+  };
+
+  SleepySet(std::size_t nodes, std::size_t nap)
+      : log_(nodes), finished_(nodes, 0), voted_(nodes, 0), nap_(nap) {}
+
+  void script(Step step) { steps_.push_back(step); }
+
+  std::size_t size() const override { return log_.size(); }
+  void on_round(NodeId v, SyncContext& ctx,
+                std::span<const Message> inbox) override {
+    log_[v].push_back({ctx.round(), inbox.size()});
+    for (const Step& step : steps_) {
+      if (step.node != v || step.round != ctx.round()) continue;
+      if (step.send_to != kNoNode) {
+        Message message;
+        message.tag = 1;
+        ctx.send(step.send_to, std::move(message));
+      }
+      if (step.finish) finished_[v] = 1;
+      if (step.vote) voted_[v] = 1;
+      ctx.sleep_until(step.wake);
+      return;
+    }
+    ctx.sleep_until(ctx.round() + nap_);
+  }
+  bool ready_for_phase_advance(NodeId v) const override {
+    return voted_[v] != 0;
+  }
+  void on_phase(NodeId v, std::size_t new_phase) override {
+    log_[v].push_back({new_phase, kPhaseMark});
+    voted_[v] = 0;
+  }
+  bool finished(NodeId v) const override { return finished_[v] != 0; }
+
+  const std::vector<Call>& log(NodeId v) const { return log_[v]; }
+
+ private:
+  std::vector<std::vector<Call>> log_;
+  std::vector<char> finished_;
+  std::vector<char> voted_;
+  std::vector<Step> steps_;
+  std::size_t nap_;
+};
+
+TEST(SyncEngineSleep, SleepingNodeIsSkipped) {
+  const Graph path = generate_path(3);
+  SleepySet set(3, /*nap=*/4);
+  SyncEngine engine(path, set);
+  const SyncMetrics metrics = engine.run(10);
+  EXPECT_EQ(metrics.rounds, 10u);
+  for (NodeId v = 0; v < 3; ++v)
+    EXPECT_EQ(set.log(v), (std::vector<Call>{{0, 0}, {4, 0}, {8, 0}}));
+}
+
+TEST(SyncEngineSleep, NapOfOneRoundIsNoSleep) {
+  const Graph path = generate_path(2);
+  SleepySet set(2, /*nap=*/1);
+  SyncEngine engine(path, set);
+  engine.run(3);
+  EXPECT_EQ(set.log(0), (std::vector<Call>{{0, 0}, {1, 0}, {2, 0}}));
+}
+
+TEST(SyncEngineSleep, MailWakesSleeperThatRound) {
+  // Node 1 sleeps until round 10, but node 0's round-2 message is
+  // delivered in round 3 and wakes it then.
+  const Graph path = generate_path(2);
+  SleepySet set(2, /*nap=*/10);
+  set.script({.node = 0, .round = 0, .wake = 2});
+  set.script({.node = 0, .round = 2, .wake = 20, .send_to = 1});
+  SyncEngine engine(path, set);
+  engine.run(12);
+  EXPECT_EQ(set.log(0), (std::vector<Call>{{0, 0}, {2, 0}}));
+  // After the mail wake it naps 10 rounds again, from round 3.
+  EXPECT_EQ(set.log(1), (std::vector<Call>{{0, 0}, {3, 1}}));
+}
+
+TEST(SyncEngineSleep, StaleCalendarEntryNeverCausesACall) {
+  // Node 1's round-0 sleep to 10 is cut short by mail in round 3; it then
+  // sleeps to 15, so its entry for round 10 is stale and must not call it.
+  // Node 2's sleep to 10 is cut short by node 1's mail in round 4, and it
+  // re-sleeps to the same round 10: its live entry stands and it runs at
+  // 10 exactly once.
+  const Graph path = generate_path(3);
+  SleepySet set(3, /*nap=*/10);
+  set.script({.node = 0, .round = 0, .wake = 2});
+  set.script({.node = 0, .round = 2, .wake = 30, .send_to = 1});
+  set.script({.node = 1, .round = 0, .wake = 10});
+  set.script({.node = 1, .round = 3, .wake = 15, .send_to = 2});
+  set.script({.node = 1, .round = 15, .wake = 30});
+  set.script({.node = 2, .round = 0, .wake = 10});
+  set.script({.node = 2, .round = 4, .wake = 10});
+  set.script({.node = 2, .round = 10, .wake = 30});
+  SyncEngine engine(path, set);
+  engine.run(20);
+  EXPECT_EQ(set.log(1), (std::vector<Call>{{0, 0}, {3, 1}, {15, 0}}));
+  EXPECT_EQ(set.log(2), (std::vector<Call>{{0, 0}, {4, 1}, {10, 0}}));
+}
+
+TEST(SyncEngineSleep, PhaseAdvanceWakesEveryNode) {
+  // Everyone votes in round 0 and sleeps to 50. Nothing is in flight, so
+  // round 1 advances the phase, which cancels every sleep: all nodes run
+  // in round 1, then nap again.
+  const Graph path = generate_path(3);
+  SleepySet set(3, /*nap=*/50);
+  for (NodeId v = 0; v < 3; ++v)
+    set.script({.node = v, .round = 0, .wake = 50, .vote = true});
+  SyncEngine engine(path, set);
+  const SyncMetrics metrics = engine.run(10);
+  EXPECT_EQ(metrics.phases, 1u);
+  for (NodeId v = 0; v < 3; ++v)
+    EXPECT_EQ(set.log(v),
+              (std::vector<Call>{{0, 0}, {1, kPhaseMark}, {1, 0}}));
+}
+
+TEST(SyncEngineSleep, FinishedNodeRunsOnlyOnMail) {
+  // Node 1 finishes in round 0 while promising to wake at 3: a finished
+  // node ignores the promise and runs only when node 0's mail arrives.
+  const Graph path = generate_path(2);
+  SleepySet set(2, /*nap=*/100);
+  set.script({.node = 1, .round = 0, .wake = 3, .finish = true});
+  set.script({.node = 0, .round = 0, .wake = 5});
+  set.script({.node = 0, .round = 5, .wake = 9, .send_to = 1});
+  set.script({.node = 0, .round = 9, .wake = 50, .finish = true});
+  SyncEngine engine(path, set);
+  const SyncMetrics metrics = engine.run(20);
+  EXPECT_TRUE(metrics.completed);
+  EXPECT_EQ(metrics.rounds, 10u);
+  EXPECT_EQ(set.log(1), (std::vector<Call>{{0, 0}, {6, 1}}));
+}
+
+/// Pseudo-random sleepers for the serial-vs-sharded check: at each call a
+/// node folds its mail into a checksum and naps a hashed 0–6 rounds. Until
+/// it has run three times in the current phase it also sends to a hashed
+/// neighbor; after that it votes for the phase advance and stays quiet. It
+/// finishes after a hashed number of calls (mail still wakes it).
+class HashedSleepSet final : public SyncProgramSet {
+ public:
+  explicit HashedSleepSet(const Graph& graph)
+      : graph_(graph),
+        log_(graph.num_nodes()),
+        sum_(graph.num_nodes(), 0),
+        calls_in_phase_(graph.num_nodes(), 0) {}
+
+  std::size_t size() const override { return log_.size(); }
+  void on_round(NodeId v, SyncContext& ctx,
+                std::span<const Message> inbox) override {
+    log_[v].push_back({ctx.round(), inbox.size()});
+    for (const Message& message : inbox)
+      sum_[v] = sum_[v] * 31 + static_cast<std::uint64_t>(message.data[0]);
+    const std::uint64_t h = mix(v, ctx.round());
+    const auto neighbors = graph_.neighbors(v);
+    if (!neighbors.empty() && calls_in_phase_[v] < 3) {
+      Message message;
+      message.tag = 1;
+      message.data = {static_cast<std::int64_t>(h % 1000)};
+      ctx.send(neighbors[(h >> 8) % neighbors.size()].to, std::move(message));
+    }
+    ++calls_in_phase_[v];
+    ctx.sleep_until(ctx.round() + (h >> 24) % 7);
+  }
+  bool ready_for_phase_advance(NodeId v) const override {
+    return calls_in_phase_[v] >= 3;
+  }
+  void on_phase(NodeId v, std::size_t new_phase) override {
+    log_[v].push_back({new_phase, kPhaseMark});
+    calls_in_phase_[v] = 0;
+  }
+  bool finished(NodeId v) const override {
+    return log_[v].size() >= 12 + v % 5;
+  }
+
+  const std::vector<Call>& log(NodeId v) const { return log_[v]; }
+  std::uint64_t sum(NodeId v) const { return sum_[v]; }
+
+ private:
+  static std::uint64_t mix(NodeId v, std::size_t round) {
+    std::uint64_t x = (static_cast<std::uint64_t>(v) << 32) ^ round;
+    x *= 0x9e3779b97f4a7c15ULL;
+    return x ^ (x >> 29);
+  }
+
+  const Graph& graph_;
+  std::vector<std::vector<Call>> log_;
+  std::vector<std::uint64_t> sum_;
+  std::vector<std::size_t> calls_in_phase_;
+};
+
+TEST(SyncEngineSleep, ShardedRunsMatchSerialCallForCall) {
+  Rng rng(5);
+  const Graph graph = generate_gnm(100, 250, rng);
+  HashedSleepSet serial(graph);
+  SyncEngine serial_engine(graph, serial);
+  const SyncMetrics base = serial_engine.run(200);
+  ASSERT_TRUE(base.completed);
+  ASSERT_GT(base.phases, 1u);
+  ThreadPool pool(2);
+  for (const std::size_t shards : {2u, 4u, 8u}) {
+    HashedSleepSet sharded(graph);
+    SyncEngine engine(graph, sharded);
+    engine.set_thread_pool(&pool);
+    engine.set_shards(shards);
+    ASSERT_EQ(engine.planned_shards(), shards);
+    const SyncMetrics metrics = engine.run(200);
+    EXPECT_EQ(metrics.rounds, base.rounds) << shards << " shards";
+    EXPECT_EQ(metrics.messages, base.messages) << shards << " shards";
+    EXPECT_EQ(metrics.phases, base.phases) << shards << " shards";
+    EXPECT_EQ(metrics.completed, base.completed) << shards << " shards";
+    for (NodeId v = 0; v < graph.num_nodes(); ++v) {
+      ASSERT_EQ(sharded.log(v), serial.log(v)) << "node " << v << ", "
+                                               << shards << " shards";
+      ASSERT_EQ(sharded.sum(v), serial.sum(v)) << "node " << v << ", "
+                                               << shards << " shards";
+    }
+  }
 }
 
 }  // namespace

@@ -47,9 +47,11 @@ run_sanitizer() {  # $1 = preset name (asan-ubsan | tsan)
   # this verifies the GTEST_SKIP seam and keeps the fixture itself
   # sanitizer-clean. The repair suites run here too: the sanitizer presets
   # are Debug builds, the only ones where FDLSP_ASSERT's range checks on
-  # old-graph lookups are live.
+  # old-graph lookups are live. So does sync_engine_test: its sleeping-node
+  # cases drive the engine's wake bitmap and calendar serially and sharded,
+  # with live asserts and under TSan.
   ctest --test-dir "build-${preset}" \
-    -R '^(engine_alloc_test|repair_test|dist_repair_test)$' \
+    -R '^(engine_alloc_test|repair_test|dist_repair_test|sync_engine_test)$' \
     --output-on-failure
 }
 
@@ -58,7 +60,9 @@ run_sanitizer() {  # $1 = preset name (asan-ubsan | tsan)
 # wrappers (distMIS: synchronous, DFS: asynchronous), drives the async
 # detector through suspect -> probe -> re-trust under a whole-graph region
 # outage, runs a soak whose every distributed repair is hardened by the
-# synchronous wrapper under bursty loss, and checks that a retired flag,
+# synchronous wrapper under bursty loss, requires unhardened DistMIS under
+# corruption to reach a fault-quiescence verdict instead of aborting (exit
+# status 2), and checks that a retired flag,
 # and flags the run would ignore (--shards without --faults, and --shards
 # on DFS, whose asynchronous engine does not shard), are rejected, not
 # ignored.
@@ -76,6 +80,18 @@ replay_smoke() {
   echo "${hardened_soak}"
   if ! grep -q '^soak oracles: ok' <<< "${hardened_soak}"; then
     echo "hardened soak replay broke a soak oracle"
+    return 1
+  fi
+  # Unhardened DistMIS treats a corrupted message as lost: the run ends in
+  # a verdict (pass or fail) for the fault oracles, never a crash.
+  local unhardened status=0
+  unhardened="$("${replay}" --family=udg --n=8 --density=0.4 --seed=1 \
+    --scheduler=distMIS --faults=drop=0.1,dup=0.1,corrupt=0.05,fseed=7 \
+    --reliable=0 2>&1)" || status=$?
+  echo "${unhardened}"
+  if [ "${status}" -eq 2 ] ||
+    ! grep -q '^fault-quiescence: ' <<< "${unhardened}"; then
+    echo "unhardened DistMIS under corruption did not reach a verdict"
     return 1
   fi
   if "${replay}" --family=ring --n=8 --seed=3 --scheduler=DFS \
