@@ -1,6 +1,5 @@
 #include "algos/dfs_schedule.h"
 
-#include <algorithm>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -11,6 +10,7 @@
 #include "sim/reliable.h"
 #include "sim/run_config.h"
 #include "support/check.h"
+#include "support/epoch_marks.h"
 #include "support/flat_hash.h"
 
 namespace fdlsp {
@@ -33,8 +33,12 @@ constexpr std::size_t kMaxEvents = 50'000'000;
 
 class DfsProgram final : public AsyncProgram {
  public:
-  DfsProgram(const ArcView& view, NodeId self, bool is_root)
-      : view_(&view), self_(self), is_root_(is_root) {}
+  /// `used_colors` is scratch shared by every node of one run: the engine
+  /// dispatches one handler at a time, and each use starts a fresh round.
+  DfsProgram(const ArcView& view, EpochMarks& used_colors, NodeId self,
+             bool is_root)
+      : view_(&view), used_colors_(&used_colors), self_(self),
+        is_root_(is_root) {}
 
   bool finished() const override { return colored_; }
 
@@ -52,6 +56,8 @@ class DfsProgram final : public AsyncProgram {
   }
 
   void on_message(AsyncContext& ctx, Message& message) override {
+    // A malformed message is lost: corruption turns into a drop.
+    if (!well_formed(message)) return;
     switch (message.tag) {
       case kTagDegree:
         neighbor_degree_[message.from] =
@@ -66,13 +72,13 @@ class DfsProgram final : public AsyncProgram {
         handle_req(ctx, message.from);
         break;
       case kTagSubReq:
-        send_color_pairs(ctx, message.from, kTagSubRep, own_incident_pairs());
+        send_pairs(ctx, message.from, kTagSubRep, own_pairs());
         break;
       case kTagSubRep:
         absorb_pairs(message);
         FDLSP_REQUIRE(pending_subreps_ > 0, "unexpected SubRep");
-        collected_pairs_.insert(collected_pairs_.end(), message.data.begin(),
-                                message.data.end());
+        collected_.insert(collected_.end(), message.data.begin(),
+                          message.data.end());
         if (--pending_subreps_ == 0) finish_rep(ctx);
         break;
       case kTagRep:
@@ -82,7 +88,7 @@ class DfsProgram final : public AsyncProgram {
         break;
       case kTagAssign:
         absorb_pairs(message);
-        send_color_pairs(ctx, message.from, kTagAck, {});
+        send_empty(ctx, message.from, kTagAck);
         break;
       case kTagAck:
         FDLSP_REQUIRE(pending_acks_ > 0, "unexpected Ack");
@@ -99,8 +105,6 @@ class DfsProgram final : public AsyncProgram {
       case kTagTokenBack:
         advance_token(ctx);
         break;
-      default:
-        FDLSP_REQUIRE(false, "unknown message tag");
     }
   }
 
@@ -109,6 +113,40 @@ class DfsProgram final : public AsyncProgram {
   }
 
  private:
+  /// True when `message` has a known tag and the payload that tag's layout
+  /// needs: no words for the control tags, one degree in (0, n) for
+  /// Degree, and an even [arc, color, ...] list for SubRep, REP and Assign
+  /// whose every word lies below the arc count (arc ids by definition,
+  /// colors because the greedy never needs more colors than arcs). Only an
+  /// unhardened run under a corrupting fault plan ever sees anything else;
+  /// the reliable wrapper discards corrupted frames first.
+  bool well_formed(const Message& message) const {
+    const SmallPayload& data = message.data;
+    const auto below = [](std::int64_t value, std::size_t bound) {
+      return value >= 0 && static_cast<std::uint64_t>(value) < bound;
+    };
+    switch (message.tag) {
+      case kTagReq:
+      case kTagSubReq:
+      case kTagAck:
+      case kTagToken:
+      case kTagTokenBack:
+        return data.empty();
+      case kTagDegree:
+        return data.size() == 1 && data[0] > 0 &&
+               below(data[0], view_->graph().num_nodes());
+      case kTagSubRep:
+      case kTagRep:
+      case kTagAssign:
+        if (data.size() % 2 != 0) return false;
+        for (const std::int64_t word : data)
+          if (!below(word, view_->num_arcs())) return false;
+        return true;
+      default:
+        return false;
+    }
+  }
+
   /// Token received (or root start): gather distance-2 colors.
   void acquire_token(AsyncContext& ctx) {
     FDLSP_REQUIRE(!colored_, "token revisited a colored node");
@@ -125,41 +163,37 @@ class DfsProgram final : public AsyncProgram {
     visited_[from] = true;
     FDLSP_REQUIRE(rep_target_ == kNoNode, "two concurrent token holders");
     rep_target_ = from;
-    collected_pairs_ = own_incident_pairs();
+    collected_ = own_pairs();
     pending_subreps_ = degree_ - 1;
     if (pending_subreps_ == 0) {
       finish_rep(ctx);
       return;
     }
-    for (const NeighborEntry& entry : ctx.neighbors()) {
-      if (entry.to == from) continue;
-      Message sub;
-      sub.tag = kTagSubReq;
-      ctx.send(entry.to, std::move(sub));
-    }
+    for (const NeighborEntry& entry : ctx.neighbors())
+      if (entry.to != from) send_empty(ctx, entry.to, kTagSubReq);
   }
 
   /// All sub-replies in: send the aggregated REP to the token holder.
   void finish_rep(AsyncContext& ctx) {
     const NodeId target = rep_target_;
     rep_target_ = kNoNode;
-    send_color_pairs(ctx, target, kTagRep, collected_pairs_);
-    collected_pairs_.clear();
+    send_pairs(ctx, target, kTagRep, collected_);
+    collected_.clear();
   }
 
   /// All REPs in: greedily color uncolored incident arcs, broadcast.
   void color_and_announce(AsyncContext& ctx) {
-    for (ArcId a : view_->incident_arcs(self_)) {
-      if (knowledge_.contains(a)) continue;
+    view_->for_each_incident_arc(self_, [&](ArcId a) {
+      if (knowledge_.contains(a)) return;
       const Color c = smallest_known_feasible(a);
-      knowledge_[a] = c;
+      learn(a, c);
       assignments_.emplace_back(a, c);
-    }
+    });
     colored_ = true;
     pending_acks_ = degree_;
     Message assign;
     assign.tag = kTagAssign;
-    assign.data = own_incident_pairs();
+    assign.data = own_pairs();
     ctx.broadcast(std::move(assign));
   }
 
@@ -178,62 +212,84 @@ class DfsProgram final : public AsyncProgram {
         next_degree = *degree;
       }
     }
-    Message token;
     if (next != kNoNode) {
       visited_[next] = true;  // provisional; confirmed by its REQ
-      token.tag = kTagToken;
-      ctx.send(next, std::move(token));
+      send_empty(ctx, next, kTagToken);
     } else if (parent_ != kNoNode) {
-      token.tag = kTagTokenBack;
-      ctx.send(parent_, std::move(token));
+      send_empty(ctx, parent_, kTagTokenBack);
     }
     // Root with no unvisited neighbor: traversal complete.
   }
 
-  /// This node's incident arc colors as a flat [arc, color, ...] list.
-  std::vector<std::int64_t> own_incident_pairs() const {
-    std::vector<std::int64_t> pairs;
-    for (ArcId a : view_->incident_arcs(self_)) {
+  /// This node's known incident arc colors as a flat [arc, color, ...]
+  /// list, outgoing arcs first, then incoming. Cached: learn() marks the
+  /// list stale whenever it changes an incident arc's entry, and only a
+  /// stale list is rebuilt from knowledge_.
+  const SmallPayload& own_pairs() {
+    if (!own_pairs_stale_) return own_pairs_;
+    own_pairs_.clear();
+    view_->for_each_incident_arc(self_, [&](ArcId a) {
       const Color* color = knowledge_.find(a);
-      if (color == nullptr) continue;
-      pairs.push_back(static_cast<std::int64_t>(a));
-      pairs.push_back(static_cast<std::int64_t>(*color));
-    }
-    return pairs;
+      if (color == nullptr) return;
+      own_pairs_.push_back(static_cast<std::int64_t>(a));
+      own_pairs_.push_back(static_cast<std::int64_t>(*color));
+    });
+    own_pairs_stale_ = false;
+    return own_pairs_;
+  }
+
+  /// Records arc a's color (the last write wins). Every write to
+  /// knowledge_ comes through here, so marking the own-pairs list stale
+  /// when an incident arc's entry changes keeps the cache exact.
+  void learn(ArcId a, Color c) {
+    const std::size_t known = knowledge_.size();
+    Color& entry = knowledge_[a];
+    if (knowledge_.size() == known && entry == c) return;
+    entry = c;
+    if (view_->tail(a) == self_ || view_->head(a) == self_)
+      own_pairs_stale_ = true;
   }
 
   void absorb_pairs(const Message& message) {
-    for (std::size_t i = 0; i + 1 < message.data.size(); i += 2) {
-      knowledge_[static_cast<ArcId>(message.data[i])] =
-          static_cast<Color>(message.data[i + 1]);
+    for (std::size_t i = 0; i < message.data.size(); i += 2) {
+      learn(static_cast<ArcId>(message.data[i]),
+            static_cast<Color>(message.data[i + 1]));
     }
   }
 
-  void send_color_pairs(AsyncContext& ctx, NodeId to, std::int32_t tag,
-                        std::vector<std::int64_t> pairs) {
+  /// Sends a payload-free control message.
+  static void send_empty(AsyncContext& ctx, NodeId to, std::int32_t tag) {
     Message message;
     message.tag = tag;
-    message.data = std::move(pairs);
     ctx.send(to, std::move(message));
   }
 
+  /// Sends a copy of `pairs`, built once in the message's own payload and
+  /// moved into the engine's event slot. Copying into the slot instead
+  /// (send_copy) would grow every recycled slot to the longest list it
+  /// ever carried.
+  static void send_pairs(AsyncContext& ctx, NodeId to, std::int32_t tag,
+                         const SmallPayload& pairs) {
+    Message message;
+    message.tag = tag;
+    message.data = pairs;
+    ctx.send(to, std::move(message));
+  }
+
+  /// Smallest color not used by any known-colored conflicting arc: one
+  /// sweep over the shared epoch marks, no per-call container.
   Color smallest_known_feasible(ArcId a) const {
-    std::vector<Color> used;
+    used_colors_->begin();
     for_each_conflicting_arc(*view_, a, [&](ArcId b) {
       const Color* color = knowledge_.find(b);
-      if (color != nullptr) used.push_back(*color);
+      if (color != nullptr)
+        used_colors_->mark(static_cast<std::size_t>(*color));
     });
-    std::sort(used.begin(), used.end());
-    used.erase(std::unique(used.begin(), used.end()), used.end());
-    Color candidate = 0;
-    for (Color c : used) {
-      if (c > candidate) break;
-      if (c == candidate) ++candidate;
-    }
-    return candidate;
+    return static_cast<Color>(used_colors_->first_unmarked());
   }
 
   const ArcView* view_;
+  EpochMarks* used_colors_;
   NodeId self_;
   bool is_root_;
   std::size_t degree_ = 0;
@@ -250,9 +306,11 @@ class DfsProgram final : public AsyncProgram {
   std::size_t pending_acks_ = 0;
   std::size_t pending_subreps_ = 0;
   NodeId rep_target_ = kNoNode;
-  std::vector<std::int64_t> collected_pairs_;
+  SmallPayload collected_;  // REP under construction; keeps its capacity
 
   FlatHashMap<ArcId, Color> knowledge_;
+  SmallPayload own_pairs_;  // see own_pairs()
+  bool own_pairs_stale_ = true;
   std::vector<std::pair<ArcId, Color>> assignments_;
 };
 
@@ -271,10 +329,12 @@ ScheduleResult run_dfs_schedule(const Graph& graph, const DfsOptions& options) {
   FDLSP_REQUIRE(root < graph.num_nodes(), "root out of range");
 
   const ArcView view(graph);
+  EpochMarks used_colors;
   std::vector<std::unique_ptr<AsyncProgram>> programs;
   programs.reserve(graph.num_nodes());
   for (NodeId v = 0; v < graph.num_nodes(); ++v)
-    programs.push_back(std::make_unique<DfsProgram>(view, v, v == root));
+    programs.push_back(
+        std::make_unique<DfsProgram>(view, used_colors, v, v == root));
   const FaultSpec spec = options.fault_spec();
   if (options.reliable) wrap_reliable(programs, spec);
   AsyncEngine engine(graph, std::move(programs), options.delay_model,

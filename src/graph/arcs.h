@@ -74,17 +74,14 @@ class ArcView {
     return arcs;
   }
 
-  /// All arcs incident on v, outgoing first then incoming.
-  std::vector<ArcId> incident_arcs(NodeId v) const {
-    std::vector<ArcId> arcs;
-    arcs.reserve(2 * graph_->degree(v));
-    for (const NeighborEntry& entry : graph_->neighbors(v)) {
-      const ArcId out = arc_from(entry.edge, v);
-      arcs.push_back(out);
-    }
+  /// Calls fn(a) for every arc incident on v: the outgoing arcs first, then
+  /// the incoming ones, each in v's adjacency order. Allocates nothing.
+  template <typename Fn>
+  void for_each_incident_arc(NodeId v, Fn&& fn) const {
     for (const NeighborEntry& entry : graph_->neighbors(v))
-      arcs.push_back(reverse(arc_from(entry.edge, v)));
-    return arcs;
+      fn(arc_from(entry.edge, v));
+    for (const NeighborEntry& entry : graph_->neighbors(v))
+      fn(reverse(arc_from(entry.edge, v)));
   }
 
  private:

@@ -1,6 +1,9 @@
 // Tests for the asynchronous DFS scheduling algorithm.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "algos/dfs_schedule.h"
 #include "coloring/bounds.h"
 #include "coloring/checker.h"
@@ -8,6 +11,7 @@
 #include "graph/arcs.h"
 #include "graph/generators.h"
 #include "support/rng.h"
+#include "verify/scenario.h"
 
 namespace fdlsp {
 namespace {
@@ -124,6 +128,74 @@ TEST(DfsSchedule, RejectsDisconnectedGraphs) {
   builder.add_edge(0, 1);
   builder.add_edge(2, 3);
   EXPECT_THROW(run_dfs_schedule(builder.build()), contract_error);
+}
+
+/// FNV-1a over 64-bit words, byte by byte.
+class Fnv64 {
+ public:
+  void add(std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash_ ^= (word >> (8 * byte)) & 0xffU;
+      hash_ *= 0x100000001b3ULL;
+    }
+  }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+TEST(DfsSchedule, ExactOutputsArePinned) {
+  // The other cases check feasibility and bounds only. This one pins DFS's
+  // exact output (every arc's color, the message count and the async
+  // completion time) per delay model and transport over the connected
+  // instances of the six scenario families at n = 8, 12 and 50, seeds 1-3.
+  // A change to how the protocol builds or sends its messages must leave
+  // every hash as it is.
+  struct Pin {
+    DelayModel delay;
+    bool reliable;
+    std::uint64_t hash;
+  };
+  const Pin pins[] = {
+      {DelayModel::kUnit, false, 0xc2baac77320c6267ULL},
+      {DelayModel::kUniformRandom, false, 0x9fb2074df9b06423ULL},
+      {DelayModel::kAdversarial, false, 0x86161cdf7fbc2d58ULL},
+      {DelayModel::kUnit, true, 0xa459f5a81b012588ULL},
+      {DelayModel::kUniformRandom, true, 0xcd25d7b7a8c089f9ULL},
+      {DelayModel::kAdversarial, true, 0x5b1a49d83dbf04afULL},
+  };
+  for (const Pin& pin : pins) {
+    Fnv64 hash;
+    std::size_t instances = 0;
+    for (const GraphFamily family : kAllFamilies) {
+      for (const std::size_t n : {8u, 12u, 50u}) {
+        for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+          Scenario scenario;
+          scenario.family = family;
+          scenario.n = n;
+          scenario.density = 0.4;
+          scenario.seed = seed;
+          const Graph graph = materialize(scenario);
+          if (!is_connected(graph)) continue;
+          ++instances;
+          DfsOptions options;
+          options.delay_model = pin.delay;
+          options.seed = seed;
+          options.reliable = pin.reliable;
+          const ScheduleResult result = run_dfs_schedule(graph, options);
+          for (ArcId a = 0; a < result.coloring.num_arcs(); ++a)
+            hash.add(static_cast<std::uint32_t>(result.coloring.color(a)));
+          hash.add(result.messages);
+          hash.add(std::bit_cast<std::uint64_t>(result.async_time));
+        }
+      }
+    }
+    EXPECT_EQ(instances, 47u);
+    EXPECT_EQ(hash.value(), pin.hash)
+        << delay_model_name(pin.delay) << (pin.reliable ? " reliable" : "")
+        << ": got 0x" << std::hex << hash.value();
+  }
 }
 
 TEST(DfsSchedule, SingleNodeGraph) {

@@ -15,6 +15,7 @@
 // failure reporting stays lowest-index-first, identical to serial.
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -255,21 +256,16 @@ TEST(FaultInjectionTest, DfsSurvivesLossAcrossDelayModels) {
   EXPECT_GE(checked, 12u);
 }
 
-// Unhardened DistMIS under corruption: a corrupted tag, length, origin,
-// TTL, arc or color is treated as a lost message, never trusted. Every run
-// returns a result for the fault oracles to judge, pass or fail, instead
-// of aborting with a contract_error (it used to die on a corrupted color
-// or an unknown tag).
-TEST(FaultInjectionTest, UnhardenedDistMisTreatsMalformedMessagesAsLost) {
-  FaultSpec spec;
-  spec.seed = 7;
-  spec.drop_rate = 0.1;
-  spec.duplicate_rate = 0.1;
-  spec.corrupt_rate = 0.05;
+/// Runs each of `kinds` unhardened under `spec` on the n=12 instances of
+/// `families` x seeds 1-3. Every run must return a result for the fault
+/// oracles to judge, pass or fail, instead of aborting with a
+/// contract_error, and the plan must corrupt at least one message.
+void expect_verdicts_under_corruption(
+    std::initializer_list<GraphFamily> families,
+    std::initializer_list<SchedulerKind> kinds, const FaultSpec& spec) {
   std::size_t judged = 0;
   std::size_t corrupted = 0;
-  for (const GraphFamily family :
-       {GraphFamily::kUdg, GraphFamily::kGrid, GraphFamily::kRing}) {
+  for (const GraphFamily family : families) {
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
       Scenario scenario;
       scenario.family = family;
@@ -277,8 +273,7 @@ TEST(FaultInjectionTest, UnhardenedDistMisTreatsMalformedMessagesAsLost) {
       scenario.density = 0.4;
       scenario.seed = seed;
       const Graph graph = materialize(scenario);
-      for (const SchedulerKind kind :
-           {SchedulerKind::kDistMisGbg, SchedulerKind::kDistMisGeneral}) {
+      for (const SchedulerKind kind : kinds) {
         const std::string repro =
             fault_repro_command(scenario, scheduler_name(kind), spec) +
             " --reliable=0";
@@ -293,8 +288,37 @@ TEST(FaultInjectionTest, UnhardenedDistMisTreatsMalformedMessagesAsLost) {
       }
     }
   }
-  EXPECT_EQ(judged, 18u);
+  EXPECT_EQ(judged, 3 * families.size() * kinds.size());
   EXPECT_GT(corrupted, 0u) << "the plan never corrupted a message";
+}
+
+// Unhardened DistMIS under corruption: a corrupted tag, length, origin,
+// TTL, arc or color is treated as a lost message, never trusted (it used
+// to die on a corrupted color or an unknown tag).
+TEST(FaultInjectionTest, UnhardenedDistMisTreatsMalformedMessagesAsLost) {
+  FaultSpec spec;
+  spec.seed = 7;
+  spec.drop_rate = 0.1;
+  spec.duplicate_rate = 0.1;
+  spec.corrupt_rate = 0.05;
+  expect_verdicts_under_corruption(
+      {GraphFamily::kUdg, GraphFamily::kGrid, GraphFamily::kRing},
+      {SchedulerKind::kDistMisGbg, SchedulerKind::kDistMisGeneral}, spec);
+}
+
+// Unhardened DFS likewise treats a corrupted tag or an out-of-range degree,
+// arc or color as a lost message (it used to die on an unknown tag). The
+// plan injects no duplicates: unhardened DFS still stops at its
+// protocol-state checks when a REQ, SubRep or REP arrives twice, which is
+// a separate defect.
+TEST(FaultInjectionTest, UnhardenedDfsTreatsMalformedMessagesAsLost) {
+  FaultSpec spec;
+  spec.seed = 7;
+  spec.drop_rate = 0.1;
+  spec.corrupt_rate = 0.05;
+  expect_verdicts_under_corruption(
+      {GraphFamily::kGrid, GraphFamily::kTree, GraphFamily::kRing},
+      {SchedulerKind::kDfs}, spec);
 }
 
 // Crash-recovery workflow: crash/churn plans orphan part of a clean

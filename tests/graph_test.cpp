@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "graph/arcs.h"
 #include "graph/graph.h"
@@ -124,10 +125,12 @@ TEST(ArcView, OutInIncidentArcs) {
   const auto in = view.in_arcs(2);
   ASSERT_EQ(in.size(), 3u);
   for (ArcId a : in) EXPECT_EQ(view.head(a), 2u);
-  const auto incident = view.incident_arcs(2);
-  EXPECT_EQ(incident.size(), 6u);
-  for (ArcId a : incident)
-    EXPECT_TRUE(view.tail(a) == 2u || view.head(a) == 2u);
+  std::vector<ArcId> incident;
+  view.for_each_incident_arc(2, [&](ArcId a) { incident.push_back(a); });
+  ASSERT_EQ(incident.size(), 6u);
+  // Outgoing first, then incoming, each in adjacency order.
+  EXPECT_EQ(std::vector<ArcId>(incident.begin(), incident.begin() + 3), out);
+  EXPECT_EQ(std::vector<ArcId>(incident.begin() + 3, incident.end()), in);
 }
 
 TEST(ArcView, ArcIdsAreDenseAndConsistent) {

@@ -60,9 +60,9 @@ run_sanitizer() {  # $1 = preset name (asan-ubsan | tsan)
 # wrappers (distMIS: synchronous, DFS: asynchronous), drives the async
 # detector through suspect -> probe -> re-trust under a whole-graph region
 # outage, runs a soak whose every distributed repair is hardened by the
-# synchronous wrapper under bursty loss, requires unhardened DistMIS under
-# corruption to reach a fault-quiescence verdict instead of aborting (exit
-# status 2), and checks that a retired flag,
+# synchronous wrapper under bursty loss, requires unhardened DistMIS and
+# DFS under corruption to reach a fault-quiescence verdict instead of
+# aborting (exit status 2), and checks that a retired flag,
 # and flags the run would ignore (--shards without --faults, and --shards
 # on DFS, whose asynchronous engine does not shard), are rejected, not
 # ignored.
@@ -92,6 +92,17 @@ replay_smoke() {
   if [ "${status}" -eq 2 ] ||
     ! grep -q '^fault-quiescence: ' <<< "${unhardened}"; then
     echo "unhardened DistMIS under corruption did not reach a verdict"
+    return 1
+  fi
+  # The same holds for unhardened DFS.
+  status=0
+  unhardened="$("${replay}" --family=grid --n=12 --density=0.4 --seed=1 \
+    --scheduler=DFS --faults=drop=0.1,dup=0.1,corrupt=0.05,fseed=7 \
+    --reliable=0 2>&1)" || status=$?
+  echo "${unhardened}"
+  if [ "${status}" -eq 2 ] ||
+    ! grep -q '^fault-quiescence: ' <<< "${unhardened}"; then
+    echo "unhardened DFS under corruption did not reach a verdict"
     return 1
   fi
   if "${replay}" --family=ring --n=8 --seed=3 --scheduler=DFS \
