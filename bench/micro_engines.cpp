@@ -1,7 +1,7 @@
 // Microbenchmarks for the simulation engines themselves: round dispatch
 // overhead, message throughput, event-queue cost, and the performance-layer
-// knobs (ISSUE 5): payload size across the SmallPayload inline/spill
-// boundary, and sharded parallel rounds at several thread counts.
+// knobs: payload size across the SmallPayload inline/spill boundary, and
+// sharded rounds at several shard counts (one thread per shard).
 //
 // tools/bench_smoke.sh runs this suite and commits BENCH_sim.json as the
 // regression baseline; tools/ci.sh bench-compare diffs fresh runs against
@@ -10,10 +10,10 @@
 #include <sys/resource.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <memory>
 #include <string>
-#include <thread>
 
 #include "algos/dfs_schedule.h"
 #include "algos/dist_mis.h"
@@ -22,7 +22,6 @@
 #include "sim/sync_engine.h"
 #include "support/alloc_audit.h"
 #include "support/rng.h"
-#include "support/thread_pool.h"
 
 namespace {
 
@@ -55,35 +54,32 @@ class GossipSet final : public SyncProgramSet {
   std::vector<std::size_t> executed_;  // rounds run, per node
 };
 
-void BM_SyncEngineGossip(benchmark::State& state) {
+/// Gossips 20 rounds on G(n, 4n) with `words`-word payloads on `shards`
+/// engine shards (0: serial).
+void gossip(benchmark::State& state, std::int64_t n, std::int64_t words,
+            std::int64_t shards) {
   Rng rng(5);
-  const Graph graph =
-      generate_gnm(static_cast<std::size_t>(state.range(0)),
-                   static_cast<std::size_t>(state.range(0)) * 4, rng);
+  const Graph graph = generate_gnm(static_cast<std::size_t>(n),
+                                   static_cast<std::size_t>(n) * 4, rng);
   for (auto _ : state) {
-    GossipSet set(graph.num_nodes(), 20);
+    GossipSet set(graph.num_nodes(), 20, static_cast<std::size_t>(words));
     SyncEngine engine(graph, set);
+    engine.set_shards(static_cast<std::size_t>(shards));
     const SyncMetrics metrics = engine.run();
     benchmark::DoNotOptimize(metrics.messages);
     state.counters["msgs"] = static_cast<double>(metrics.messages);
   }
+}
+
+void BM_SyncEngineGossip(benchmark::State& state) {
+  gossip(state, state.range(0), 1, 0);
 }
 BENCHMARK(BM_SyncEngineGossip)->Arg(100)->Arg(500);
 
 /// Payload-size sweep across the SmallPayload boundary: 2 and 4 words are
 /// inline (zero-alloc), 8 and 16 spill. Args: {nodes, words}.
 void BM_SyncEngineGossipPayload(benchmark::State& state) {
-  Rng rng(5);
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto words = static_cast<std::size_t>(state.range(1));
-  const Graph graph = generate_gnm(n, n * 4, rng);
-  for (auto _ : state) {
-    GossipSet set(graph.num_nodes(), 20, words);
-    SyncEngine engine(graph, set);
-    const SyncMetrics metrics = engine.run();
-    benchmark::DoNotOptimize(metrics.messages);
-    state.counters["msgs"] = static_cast<double>(metrics.messages);
-  }
+  gossip(state, state.range(0), state.range(1), 0);
 }
 BENCHMARK(BM_SyncEngineGossipPayload)
     ->Args({200, 2})
@@ -91,52 +87,42 @@ BENCHMARK(BM_SyncEngineGossipPayload)
     ->Args({200, 8})
     ->Args({200, 16});
 
-/// Thread-count sweep of the sharded round loop. Args: {nodes, threads};
-/// threads == 0 runs the serial engine (no pool attached). Results are
+/// Shard-count sweep of the round loop. Args: {nodes, shards}; shards 0
+/// runs the serial engine, S > 1 runs S shards on S threads. Results are
 /// byte-identical across the sweep (tests/engine_parallel_test.cpp); this
 /// bench measures only the wall-time effect of sharding.
-void BM_SyncEngineGossipThreads(benchmark::State& state) {
-  Rng rng(5);
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto threads = static_cast<std::size_t>(state.range(1));
-  const Graph graph = generate_gnm(n, n * 4, rng);
-  std::unique_ptr<ThreadPool> pool;
-  if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
-  for (auto _ : state) {
-    GossipSet set(graph.num_nodes(), 20, 2);
-    SyncEngine engine(graph, set);
-    engine.set_thread_pool(pool.get());
-    const SyncMetrics metrics = engine.run();
-    benchmark::DoNotOptimize(metrics.messages);
-    state.counters["msgs"] = static_cast<double>(metrics.messages);
-  }
+void BM_SyncEngineGossipShards(benchmark::State& state) {
+  gossip(state, state.range(0), 2, state.range(1));
 }
-BENCHMARK(BM_SyncEngineGossipThreads)
+BENCHMARK(BM_SyncEngineGossipShards)
     ->Args({500, 0})
-    ->Args({500, 1})
     ->Args({500, 2})
+    ->Args({500, 4})
     ->Args({500, 8});
 
-/// End-to-end DistMIS on a paper-style UDG field, thread-parameterized.
-/// Args: {nodes, threads}; the field side is chosen for average degree ~6
-/// at every n so the per-node work stays comparable across sizes. This is
-/// the headline row of EXPERIMENTS.md's engine-throughput table.
-void BM_DistMisUdg(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto threads = static_cast<std::size_t>(state.range(1));
+/// The paper-style UDG field: radius 0.5 and a side chosen for average
+/// degree ~6 at every n, so the per-node work stays comparable across
+/// sizes.
+Graph paper_udg(std::size_t n) {
   const double radius = 0.5;
   const double side =
       std::sqrt(static_cast<double>(n) * 3.14159265 * radius * radius / 6.0);
   Rng rng(42);
-  const Graph graph = generate_udg(n, side, radius, rng).graph;
-  std::unique_ptr<ThreadPool> pool;
-  if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
+  return generate_udg(n, side, radius, rng).graph;
+}
+
+/// End-to-end DistMIS on the paper UDG field. Args: {nodes, shards};
+/// shards 0 runs serially, S > 1 runs S shards on S threads. This is the
+/// headline row of EXPERIMENTS.md's engine-throughput table.
+void BM_DistMisUdg(benchmark::State& state) {
+  const auto shards = static_cast<std::size_t>(state.range(1));
+  const Graph graph = paper_udg(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
     AllocAudit audit;
     DistMisOptions options;
     options.variant = DistMisVariant::kGbg;
     options.seed = 42;
-    options.pool = pool.get();
+    options.shards = shards;
     options.audit = &audit;
     const ScheduleResult result = run_dist_mis(graph, options);
     benchmark::DoNotOptimize(result.num_slots);
@@ -146,7 +132,9 @@ void BM_DistMisUdg(benchmark::State& state) {
     // in-round allocations and the count of rounds that allocated at all.
     // Both are 0 under sanitizers (hooks compiled out); the regression
     // gate on these counters lives in tests/engine_alloc_test.cpp — here
-    // they document the warm-up share next to the timing numbers.
+    // they document the warm-up share next to the timing numbers. The
+    // audit does not force the serial engine, so on sharded rows they
+    // describe the sharded path.
     state.counters["allocs"] = static_cast<double>(audit.total_allocations());
     state.counters["alloc_rounds"] =
         static_cast<double>(audit.allocating_rounds());
@@ -163,51 +151,22 @@ BENCHMARK(BM_DistMisUdg)
     ->Unit(benchmark::kMillisecond);
 
 /// Shard-scaling rows (DESIGN.md §14, EXPERIMENTS.md "Shard scaling"):
-/// DistMIS-GBG on the paper UDG with engine *state* sharded via
-/// DistMisOptions::shards. Args: {nodes, shards}. Registered from main()
+/// BM_DistMisUdg at scale, plus the peak RSS. Args: {nodes, shards}.
+/// Registered from main()
 /// according to FDLSP_BENCH_SCALE rather than statically, so the default
 /// suite stays CI-sized: scale "1" (the default) runs the n=10^5 smoke at
 /// 1 vs 2 shards, scale "full" runs the n=10^6 curve at 1/2/4/8 shards.
 /// Both cap at one iteration — at these sizes a single run is seconds to
 /// minutes and the sweep exists for the scaling *curve*, not ns precision.
 ///
-/// The pool is sized min(shards, hardware_concurrency): shards beyond the
-/// core count still partition state (and are byte-identical — the curve is
-/// about wall time only), they just time-slice. peak_rss_mb is getrusage's
+/// Each shard runs on its own thread: shards beyond the core count still
+/// partition state (and are byte-identical — the curve is about wall time
+/// only), they just time-slice. peak_rss_mb is getrusage's
 /// process-wide high-water mark, which is monotone across rows within one
 /// binary run: the first row of a scale is the honest peak for that
 /// configuration, later rows are lower bounds.
 void BM_DistMisUdgSharded(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto shards = static_cast<std::size_t>(state.range(1));
-  const double radius = 0.5;
-  const double side =
-      std::sqrt(static_cast<double>(n) * 3.14159265 * radius * radius / 6.0);
-  Rng rng(42);
-  const Graph graph = generate_udg(n, side, radius, rng).graph;
-  const auto hardware =
-      std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  ThreadPool pool(std::min(shards, hardware));
-  for (auto _ : state) {
-    AllocAudit audit;
-    DistMisOptions options;
-    options.variant = DistMisVariant::kGbg;
-    options.seed = 42;
-    options.pool = &pool;
-    options.shards = shards;
-    options.audit = &audit;
-    const ScheduleResult result = run_dist_mis(graph, options);
-    benchmark::DoNotOptimize(result.num_slots);
-    state.counters["msgs"] = static_cast<double>(result.messages);
-    state.counters["rounds"] = static_cast<double>(result.rounds);
-    // The audit seam does not force the serial engine, so these counters
-    // really describe the sharded path: lane recycling must keep the
-    // steady state allocation-free per shard (tests/engine_alloc_test.cpp
-    // gates this at n=1000; here the numbers ride along at scale).
-    state.counters["allocs"] = static_cast<double>(audit.total_allocations());
-    state.counters["alloc_rounds"] =
-        static_cast<double>(audit.allocating_rounds());
-  }
+  BM_DistMisUdg(state);
   struct rusage usage {};
   if (getrusage(RUSAGE_SELF, &usage) == 0)
     state.counters["peak_rss_mb"] =
@@ -262,12 +221,7 @@ BENCHMARK(BM_AsyncEngineRingHops)->Arg(64);
 /// DistMIS (tests/async_equivalence_test.cpp); this bench measures wall
 /// time and the steady-state allocation profile.
 void BM_AsyncDistMisUdg(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const double radius = 0.5;
-  const double side =
-      std::sqrt(static_cast<double>(n) * 3.14159265 * radius * radius / 6.0);
-  Rng rng(42);
-  const Graph graph = generate_udg(n, side, radius, rng).graph;
+  const Graph graph = paper_udg(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
     AllocAudit audit;
     AsyncMetrics engine_metrics;

@@ -38,20 +38,17 @@
 //
 // --shards=N replays a fault repro of a synchronous scheduler or a
 // distributed soak on the sharded engine path: N goes into the run's
-// RunConfig (sim/run_config.h) together with a ThreadPool replay owns, and
-// the synchronous engine shards across it. Sharding is byte-identical to
+// RunConfig (sim/run_config.h), and the synchronous engine runs N shards on
+// N threads it starts and joins for each run. Sharding is byte-identical to
 // serial for every count, so a repro line replays the same verdict with the
 // flag added or removed; the flag is echoed in the printed repro lines so a
 // sharded replay stays a one-line paste. An armed fault plan still forces
 // the engine serial (lifting that is the "sharded code under faults" item
 // in ROADMAP.md), so today the flag shards only --faults=none repros and
 // fault-free distributed soaks.
-#include <algorithm>
 #include <cstdint>
 #include <iostream>
-#include <optional>
 #include <string>
-#include <thread>
 
 #include "algos/scheduler.h"
 #include "exp/workloads.h"
@@ -60,7 +57,6 @@
 #include "sim/run_config.h"
 #include "support/check.h"
 #include "support/cli.h"
-#include "support/thread_pool.h"
 #include "verify/causality.h"
 #include "verify/differential.h"
 #include "verify/fault_oracles.h"
@@ -76,19 +72,6 @@ fdlsp::GraphFamily parse_family(const std::string& name) {
     if (name == fdlsp::family_name(family)) return family;
   FDLSP_REQUIRE(false, "unknown --family: " + name);
   return GraphFamily::kGnm;
-}
-
-/// Puts --shards=N into `run` together with a pool for the synchronous
-/// engine, owned by `pool`: one worker per shard, at most one per hardware
-/// thread. Without the flag `run` stays serial.
-void attach_shards(const fdlsp::CliArgs& args,
-                   std::optional<fdlsp::ThreadPool>& pool,
-                   fdlsp::RunConfig& run) {
-  run.shards = args.get_count("shards", 0);
-  if (run.shards == 0) return;
-  pool.emplace(std::min<std::size_t>(
-      run.shards, std::max(1u, std::thread::hardware_concurrency())));
-  run.pool = &*pool;
 }
 
 /// Replays a soak stream under the full oracle battery, shrinking any
@@ -110,8 +93,7 @@ int run_soak_replay(const fdlsp::CliArgs& args) {
   if (args.get_int("distributed", 0) != 0) driver_options.distributed = true;
   // Replays the stream's distributed repairs on the sharded engine path
   // (byte-identical to serial for any count, so the verdict is unchanged).
-  std::optional<ThreadPool> pool;
-  attach_shards(args, pool, driver_options);
+  driver_options.shards = args.get_count("shards", 0);
 
   SoakOracleOptions oracle_options;
   oracle_options.drift_band = args.get_double("soak-band", 0.0);
@@ -209,9 +191,9 @@ int main(int argc, char** argv) {
       const bool reliable = args.get_int("reliable", 1) != 0;
       // Replays on the sharded synchronous engine path — byte-identical to
       // serial for any count, so the verdict below is unchanged.
-      RunConfig run{.faults = &spec, .reliable = reliable};
-      std::optional<ThreadPool> pool;
-      attach_shards(args, pool, run);
+      RunConfig run{.faults = &spec,
+                    .reliable = reliable,
+                    .shards = args.get_count("shards", 0)};
       std::cout << "faults: " << format_fault_spec(spec)
                 << (reliable ? " (reliable wrapper on, adaptive transport)"
                              : " (reliable wrapper OFF)")

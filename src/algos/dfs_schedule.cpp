@@ -344,10 +344,7 @@ ScheduleResult run_dfs_schedule(const Graph& graph, const DfsOptions& options) {
   if (options.engine_metrics != nullptr) *options.engine_metrics = metrics;
   // See dist_mis.cpp: crash/churn plans and unhardened lossy runs report
   // their outcome for the fault oracles to judge instead of aborting.
-  const bool relaxed =
-      attached.faulted() &&
-      (spec.crash_fraction > 0.0 || spec.link_down_fraction > 0.0 ||
-       !options.reliable);
+  const bool relaxed = options.relaxes_guarantees();
   if (!relaxed) {
     FDLSP_REQUIRE(metrics.completed, "DFS did not complete in message budget");
     FDLSP_REQUIRE(metrics.fifo_ok, "engine violated per-channel FIFO order");

@@ -29,7 +29,7 @@ namespace fdlsp {
 /// Tunables for a DFS run; the inherited RunConfig says how it executes.
 /// With crash/churn armed, or with losses and `reliable` off, the result's
 /// coloring may be partial — an unhardened DFS loses its token to the first
-/// dropped message. The asynchronous engine has no use for `pool`.
+/// dropped message. The asynchronous engine rejects a nonzero `shards`.
 struct DfsOptions : RunConfig {
   /// Root of the traversal; kNoNode selects the maximum-degree node.
   NodeId root = kNoNode;

@@ -448,17 +448,13 @@ constexpr std::size_t kMaxAsyncEvents = 200'000'000;
 ScheduleResult run_dist_mis(const Graph& graph, const DistMisOptions& options,
                             const SyncSetDriver& drive) {
   DistMisSet set(graph, options.variant, options.seed);
-  const FaultSpec spec = options.fault_spec();
   const SyncSetRun driven = drive(graph, set, options, kMaxRounds);
   const SyncMetrics& metrics = driven.metrics;
   // Crashed nodes cannot color their arcs, and lossy channels without the
   // reliable wrapper void the algorithm's knowledge guarantees — such runs
   // report what happened instead of aborting, and the fault oracles judge
   // the outcome.
-  const bool relaxed =
-      driven.faulted &&
-      (spec.crash_fraction > 0.0 || spec.link_down_fraction > 0.0 ||
-       !options.reliable);
+  const bool relaxed = options.relaxes_guarantees();
   if (!relaxed)
     FDLSP_REQUIRE(metrics.completed,
                   "DistMIS did not complete in round budget");

@@ -62,8 +62,8 @@ ScheduleResult run_dist_mis(const Graph& graph, const DistMisOptions& options,
 /// Tunables for an asynchronous DistMIS run (see run_dist_mis_async). The
 /// synchronizer needs reliable in-order frame delivery, so lossy fault
 /// plans additionally require `reliable`; crash/churn plans break lockstep
-/// and are unsupported on this path. The asynchronous engine has no use
-/// for `pool`.
+/// and are unsupported on this path. The asynchronous engine rejects a
+/// nonzero `shards`.
 struct AsyncDistMisOptions : RunConfig {
   DistMisVariant variant = DistMisVariant::kGbg;
   std::uint64_t seed = 1;

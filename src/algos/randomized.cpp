@@ -51,7 +51,11 @@ struct SeenArc {
 /// so schedules are byte-identical to the per-node layout for every seed.
 class RandomizedSet final : public SyncProgramSet {
  public:
-  RandomizedSet(const Graph& graph, std::uint64_t seed) : view_(graph) {
+  /// `relaxed`: the run's faults may void the protocol's guarantees (see
+  /// run_randomized), so a conflict between two finalized arcs is left to
+  /// the fault oracles instead of aborting the run.
+  RandomizedSet(const Graph& graph, std::uint64_t seed, bool relaxed)
+      : view_(graph), relaxed_(relaxed) {
     const std::size_t n = graph.num_nodes();
     // Per-node streams drawn from one seeded sequence, in node order — the
     // same seeding the per-node-program layout used.
@@ -183,8 +187,8 @@ class RandomizedSet final : public SyncProgramSet {
     for (const auto& [arc, remembered] : remembered_[v])
       seen.push_back(remembered);
     for (const Message& message : inbox) {
-      if (message.tag != kTagState) continue;
-      for (std::size_t i = 0; i + 2 < message.data.size(); i += 3) {
+      if (message.tag != kTagState || !well_formed(message)) continue;
+      for (std::size_t i = 0; i < message.data.size(); i += 3) {
         const auto arc = static_cast<ArcId>(message.data[i]);
         if (remembered_[v].count(arc)) continue;  // already listed
         const bool is_final = message.data[i + 2] != 0;
@@ -211,8 +215,11 @@ class RandomizedSet final : public SyncProgramSet {
             (a.toward_me && b.owner != v && b.owner != a.owner) ||
             (b.toward_me && a.owner != v && a.owner != b.owner);
         if (!(shared_tail || tx_while_rx || shared_head || hidden)) continue;
-        FDLSP_REQUIRE(!(a.final && b.final),
-                      "two finalized arcs conflict — protocol bug");
+        if (a.final && b.final) {
+          // A lost veto let both finalize: neither can change any more.
+          FDLSP_REQUIRE(relaxed_, "two finalized arcs conflict — protocol bug");
+          continue;
+        }
         const SeenArc& loser = a.final          ? b
                                : b.final        ? a
                                : a.arc > b.arc  ? a
@@ -237,7 +244,7 @@ class RandomizedSet final : public SyncProgramSet {
   void finalize(NodeId v, std::span<const Message> inbox) {
     if (done_[v] != 0) return;
     for (const Message& message : inbox) {
-      if (message.tag != kTagVeto) continue;
+      if (message.tag != kTagVeto || !well_formed(message)) continue;
       for (std::int64_t raw : message.data)
         local_veto(v, static_cast<ArcId>(raw));
     }
@@ -251,6 +258,25 @@ class RandomizedSet final : public SyncProgramSet {
       out.final = true;
     }
     done_[v] = all_final ? 1 : 0;
+  }
+
+  /// A message a fault plan corrupted is lost, never trusted: a State
+  /// message must hold whole (arc, color, final) triples with a real arc,
+  /// a color and a 0/1 flag, and a Veto message must name real arcs.
+  bool well_formed(const Message& message) const {
+    const SmallPayload& data = message.data;
+    const auto is_arc = [&](std::int64_t value) {
+      return value >= 0 &&
+             static_cast<std::uint64_t>(value) < view_.num_arcs();
+    };
+    if (message.tag == kTagVeto)
+      return std::all_of(data.begin(), data.end(), is_arc);
+    if (data.size() % 3 != 0) return false;
+    for (std::size_t i = 0; i < data.size(); i += 3)
+      if (!is_arc(data[i]) || data[i + 1] < 0 ||
+          (data[i + 2] != 0 && data[i + 2] != 1))
+        return false;
+    return true;
   }
 
   void local_veto(NodeId v, ArcId arc) {
@@ -270,6 +296,7 @@ class RandomizedSet final : public SyncProgramSet {
   };
 
   const ArcView view_;
+  const bool relaxed_;
   std::vector<Rng> rng_;
   // Tentative out-arc slots and their reverse arcs, CSR-packed by node.
   std::vector<std::size_t> out_offsets_;
@@ -289,16 +316,12 @@ class RandomizedSet final : public SyncProgramSet {
 ScheduleResult run_randomized(const Graph& graph,
                               const RandomizedOptions& options,
                               const SyncSetDriver& drive) {
-  RandomizedSet set(graph, options.seed);
-  const FaultSpec spec = options.fault_spec();
-  const SyncSetRun driven = drive(graph, set, options, kMaxRounds);
-  const SyncMetrics& metrics = driven.metrics;
   // See dist_mis.cpp: crash/churn plans and unhardened lossy runs report
   // their outcome for the fault oracles to judge instead of aborting.
-  const bool relaxed =
-      driven.faulted &&
-      (spec.crash_fraction > 0.0 || spec.link_down_fraction > 0.0 ||
-       !options.reliable);
+  const bool relaxed = options.relaxes_guarantees();
+  RandomizedSet set(graph, options.seed, relaxed);
+  const SyncSetRun driven = drive(graph, set, options, kMaxRounds);
+  const SyncMetrics& metrics = driven.metrics;
   if (!relaxed)
     FDLSP_REQUIRE(metrics.completed,
                   "randomized algorithm did not converge in round budget");

@@ -190,6 +190,7 @@ void ReliableSyncSet::on_round(NodeId v, SyncContext& ctx,
   for (const PeerState& state : node.peers)
     wake = std::min(wake, state.next_retx);
   ctx.sleep_until(wake);
+  node.idle = channels_idle(node);
 }
 
 void ReliableSyncSet::run_inner(NodeId v, SyncContext& ctx, NodeState& node) {
@@ -222,7 +223,7 @@ bool ReliableSyncSet::ready_for_phase_advance(NodeId v) const {
   // The engine's barrier promises "no messages in flight"; at this layer
   // that means no unacked or shelved outbound frames and no buffered
   // inbound frames the wrapped set has not consumed yet.
-  return inner_->ready_for_phase_advance(v) && channels_idle(nodes_[v]);
+  return inner_->ready_for_phase_advance(v) && nodes_[v].idle;
 }
 
 void ReliableSyncSet::on_phase(NodeId v, std::size_t new_phase) {
@@ -230,7 +231,7 @@ void ReliableSyncSet::on_phase(NodeId v, std::size_t new_phase) {
 }
 
 bool ReliableSyncSet::finished(NodeId v) const {
-  return inner_->finished(v) && channels_idle(nodes_[v]);
+  return inner_->finished(v) && nodes_[v].idle;
 }
 
 SyncSetRun drive_sync_set(const Graph& graph, SyncProgramSet& set,

@@ -118,6 +118,10 @@ class ReliableSyncSet final : public SyncProgramSet {
     std::vector<NodeId> ack_due;       // peers to ack this round
     std::vector<Message> assembled;    // inner inbox; capacity recycled
     TransportStats stats;
+    // No unacked, shelved or buffered frames (channels_idle), recomputed
+    // at the end of on_round: every change to a node's transport state
+    // happens inside its own on_round, and a node starts with no peers.
+    bool idle = true;
   };
 
   void capture_send(SyncContext& ctx, NodeId to, const Message& message);

@@ -9,7 +9,6 @@ namespace fdlsp {
 RunAttachment::RunAttachment(SyncEngine& engine, const Graph& graph,
                              const RunConfig& run) {
   engine.set_trace(run.trace);
-  engine.set_thread_pool(run.pool);
   engine.set_shards(run.shards);
   engine.set_alloc_audit(run.audit);
   if (run.faults != nullptr && run.faults->any()) {

@@ -2,8 +2,8 @@
 //
 // The paper's synchronous DistMIS and asynchronous DFS, and the Section 9
 // repair extension, each take an instance plus an environment: an event
-// observer, a fault model, reliable transport, a thread pool, a shard count
-// for the synchronous engine and an allocation auditor. RunConfig declares
+// observer, a fault model, reliable transport, a shard count for the
+// synchronous engine and an allocation auditor. RunConfig declares
 // that environment once. Every runner takes one (run_scheduler,
 // run_distributed_repair), and the per-algorithm option structs
 // (DistMisOptions, AsyncDistMisOptions, DfsOptions, RandomizedOptions,
@@ -27,11 +27,10 @@ class AsyncEngine;
 class Graph;
 class SimTrace;
 class SyncEngine;
-class ThreadPool;
 
 /// How one scheduling run executes. Nothing is owned and every member is
-/// optional: the default is a plain serial run. `pool`, `shards`, `audit`
-/// and `trace` never change what a run computes — results are
+/// optional: the default is a plain serial run. `shards`, `audit` and
+/// `trace` never change what a run computes — results are
 /// byte-identical with or without them — while `faults` and `reliable` do.
 struct RunConfig {
   /// Event observer (sim/trace.h). Forces the synchronous engine serial.
@@ -45,13 +44,12 @@ struct RunConfig {
   /// Harden every node with the ack/retransmit wrapper (sim/reliable.h),
   /// which keeps the feasibility guarantee under lossy plans.
   bool reliable = false;
-  /// Workers for the synchronous engine's shards
-  /// (SyncEngine::set_thread_pool). The asynchronous engine ignores it.
-  ThreadPool* pool = nullptr;
-  /// Synchronous engine shard count, capped at the node count; 0 means
-  /// 4 × pool size (serial without a pool). Byte-identical to serial for
-  /// any value. The asynchronous engine dispatches from one event wheel
-  /// and rejects a nonzero count.
+  /// Synchronous engine shards (SyncEngine::set_shards): S > 1 runs S
+  /// contiguous node shards on S threads — the caller's and S-1 the run
+  /// starts and joins — capped at the node count and at
+  /// SyncEngine::kMaxShards; 0 or 1 runs serially.
+  /// Byte-identical to serial for any value. The asynchronous engine
+  /// dispatches from one event wheel and rejects a nonzero count.
   std::size_t shards = 0;
   /// Allocation auditor (support/alloc_audit.h) bracketing each
   /// synchronous round or asynchronous event. Never forces serial.
@@ -61,10 +59,20 @@ struct RunConfig {
   FaultSpec fault_spec() const {
     return faults != nullptr ? *faults : FaultSpec{};
   }
+
+  /// True when the run's faults may void an algorithm's guarantees: the
+  /// spec injects anything (it arms a FaultPlan) and crashes nodes, takes
+  /// links down, or meets nodes without `reliable`. Such runs report what
+  /// happened instead of aborting, and the fault oracles judge the outcome.
+  bool relaxes_guarantees() const {
+    const FaultSpec spec = fault_spec();
+    return spec.any() && (spec.crash_fraction > 0.0 ||
+                          spec.link_down_fraction > 0.0 || !reliable);
+  }
 };
 
-/// Installs a RunConfig on one engine: its trace and auditor, the pool and
-/// shard count on the synchronous engine, and a FaultPlan built from
+/// Installs a RunConfig on one engine: its trace and auditor, the shard
+/// count on the synchronous engine, and a FaultPlan built from
 /// `faults` when that spec injects anything. Owns the plan, so it must
 /// outlive the engine's run(). Construct it before asking the synchronous
 /// engine for planned_shards(): the seams it installs decide that count.

@@ -1,13 +1,19 @@
 #include "sim/sync_engine.h"
 
 #include <algorithm>
+#include <barrier>
 #include <bit>
 #include <cmath>
+#include <cstddef>
+#include <exception>
+#include <functional>
+#include <mutex>
+#include <optional>
+#include <thread>
 #include <utility>
 
 #include "support/alloc_audit.h"
 #include "support/check.h"
-#include "support/thread_pool.h"
 
 namespace fdlsp {
 
@@ -19,7 +25,7 @@ void SyncContext::send(NodeId to, Message message) {
     return;
   }
   if (lanes_ != nullptr) {
-    // Parallel round: validate against this shard's ChannelTable slice
+    // Sharded round: validate against this shard's ChannelTable slice
     // (shard-local memory, doubles as the neighbor proof) and buffer the
     // send in the lane of the destination's shard for the post-barrier
     // merge; shared engine state is untouched.
@@ -92,13 +98,8 @@ SyncEngine::SyncEngine(const Graph& graph, SyncProgramSet& set)
 
 std::size_t SyncEngine::planned_shards() const noexcept {
   const std::size_t n = graph_.num_nodes();
-  if (pool_ == nullptr || trace_ != nullptr || faults_ != nullptr || n == 0 ||
-      pool_->on_worker_thread())
-    return 1;
-  const std::size_t requested =
-      shards_config_ != 0 ? shards_config_
-                          : std::max<std::size_t>(pool_->size(), 1) * 4;
-  return std::min(n, std::max<std::size_t>(1, requested));
+  if (trace_ != nullptr || faults_ != nullptr || n == 0) return 1;
+  return std::clamp<std::size_t>(shards_config_, 1, std::min(n, kMaxShards));
 }
 
 // fdlsp-lint: hot — per-message steady-state path, no allocator traffic
@@ -156,7 +157,7 @@ void SyncEngine::deliver_trusted_copy(NodeId from, NodeId to,
 /// box's total spilled capacity instead of requiring every slot *index* to
 /// independently grow to the largest payload that ever lands there.
 /// `dirty` is the dirty-list bucket recording first-touched boxes: the
-/// serial path passes bucket 0, the parallel lane merge for destination
+/// serial path passes bucket 0, the sharded lane merge for destination
 /// shard d passes bucket d (so concurrent merges never share a bucket).
 // fdlsp-lint: hot — per-message steady-state path, no allocator traffic
 Message& SyncEngine::next_slot(NodeId to, std::size_t words,
@@ -276,6 +277,78 @@ void for_each_set_bit(const std::vector<std::uint64_t>& bitmap,
   }
 }
 
+/// The threads of one sharded run: the caller's thread is shard 0, and the
+/// team starts one thread per further shard and joins them on destruction.
+/// step() runs every shard's kWork stage, then its kMerge stage, separated
+/// by std::barrier phases (no task queue, no allocation). A throwing stage
+/// still reaches every barrier; step() rethrows the first error.
+class ShardTeam {
+ public:
+  enum class Stage { kWork, kMerge };
+  using Body = std::function<void(std::size_t shard, Stage stage)>;
+
+  ShardTeam(std::size_t shards, Body body)
+      : body_(std::move(body)),
+        barrier_(static_cast<std::ptrdiff_t>(shards)) {
+    threads_.reserve(shards - 1);
+    try {
+      for (std::size_t s = 1; s < shards; ++s)
+        threads_.emplace_back([this, s] { serve(s); });
+    } catch (...) {  // shards that never started leave the barrier
+      for (std::size_t s = threads_.size() + 1; s < shards; ++s)
+        barrier_.arrive_and_drop();
+      stop();
+      throw;
+    }
+  }
+  ShardTeam(const ShardTeam&) = delete;
+  ShardTeam& operator=(const ShardTeam&) = delete;
+  ~ShardTeam() { stop(); }
+
+  void step() {
+    barrier_.arrive_and_wait();  // go: the caller's loop head is done
+    run(0, Stage::kWork);
+    barrier_.arrive_and_wait();  // every shard's sends are buffered
+    run(0, Stage::kMerge);
+    barrier_.arrive_and_wait();  // every column is merged
+    if (error_) std::rethrow_exception(std::exchange(error_, nullptr));
+  }
+
+ private:
+  void serve(std::size_t shard) {
+    for (;;) {
+      barrier_.arrive_and_wait();
+      if (stopping_) return;
+      run(shard, Stage::kWork);
+      barrier_.arrive_and_wait();
+      run(shard, Stage::kMerge);
+      barrier_.arrive_and_wait();
+    }
+  }
+
+  void run(std::size_t shard, Stage stage) noexcept {
+    try {
+      body_(shard, stage);
+    } catch (...) {
+      const std::lock_guard lock(error_mutex_);
+      if (!error_) error_ = std::current_exception();
+    }
+  }
+
+  void stop() noexcept {
+    stopping_ = true;  // published to the team by the barrier
+    barrier_.arrive_and_wait();
+    for (std::thread& thread : threads_) thread.join();
+  }
+
+  Body body_;
+  std::barrier<> barrier_;
+  std::mutex error_mutex_;
+  std::exception_ptr error_;  // read by the caller after the last barrier
+  bool stopping_ = false;
+  std::vector<std::thread> threads_;  // last: they use every member above
+};
+
 }  // namespace
 
 /// Adds this round's mail recipients and due sleepers to the runnable set.
@@ -314,7 +387,7 @@ void SyncEngine::settle(NodeId v, bool finished, std::size_t wake,
 }
 
 /// Applies every shard's buffered exits to the bitmap and the calendar, on
-/// the driving thread after the round.
+/// the caller's thread after the round.
 // fdlsp-lint: hot — per-round steady-state path, no allocator traffic
 void SyncEngine::apply_settled() {
   for (std::vector<SyncWake>& settled : settled_) {
@@ -338,9 +411,110 @@ void SyncEngine::wake_all(const std::vector<char>& finished) {
     if (finished[v] == 0) set_bit(runnable_, v);
 }
 
+/// What a step changed: the counts of finished nodes and of nodes ready
+/// for a phase advance (finished, or voting for it), and the messages a
+/// shard's merge enqueued.
+struct SyncEngine::StepCounts {
+  std::ptrdiff_t finished = 0;
+  std::ptrdiff_t ready = 0;
+  std::size_t enqueued = 0;
+};
+
+/// What one run()'s shards share: every node's cached votes (see refresh),
+/// the phase, and each shard's vote changes during a step, which the
+/// caller applies after it.
+struct SyncEngine::RunFrame {
+  std::vector<char> finished;
+  std::vector<char> ready;
+  std::vector<StepCounts> deltas;  // per shard
+  std::size_t phase = 0;
+};
+
+bool SyncEngine::down(NodeId v) const {
+  return faults_ != nullptr &&
+         faults_->node_down(v, static_cast<double>(current_round_));
+}
+
+/// Re-reads node v's votes after one of its callbacks and records any
+/// change in `delta`. A program's finished/ready state only changes inside
+/// its own callbacks (cross-node mutation would be a protocol-isolation
+/// violation, flagged by the happens-before checker), so both votes are
+/// cached per node and refreshed only for the nodes that ran. Per-node
+/// flags are distinct memory locations, so shards refresh their own nodes
+/// concurrently. A crashed node counts as finished: its callbacks stop and
+/// it neither blocks a phase advance nor run completion.
+// fdlsp-lint: hot — per-callback steady-state path, no allocator traffic
+void SyncEngine::refresh(NodeId v, RunFrame& frame, StepCounts& delta) {
+  const bool fin = down(v) || set_->finished(v);
+  const bool rdy = fin || set_->ready_for_phase_advance(v);
+  if (fin != (frame.finished[v] != 0)) {
+    frame.finished[v] = fin ? 1 : 0;
+    delta.finished += fin ? 1 : -1;
+  }
+  if (rdy != (frame.ready[v] != 0)) {
+    frame.ready[v] = rdy ? 1 : 0;
+    delta.ready += rdy ? 1 : -1;
+  }
+}
+
+/// Shard s's round: the runnable nodes of its range, ascending. One shard
+/// delivers its sends directly; more buffer them in the shard's row of
+/// lanes for the merge. The bitmap is read-only until apply_settled() runs
+/// on the caller after the step.
+// fdlsp-lint: hot — per-round steady-state path, no allocator traffic
+void SyncEngine::round_shard(std::size_t s, RunFrame& frame) {
+  const std::size_t round = current_round_;
+  SyncSendSlab* const lanes =
+      plan_.count > 1 ? lanes_.data() + s * plan_.count : nullptr;
+  std::vector<SyncWake>& settled = settled_[s];
+  StepCounts delta;
+  for_each_set_bit(runnable_, plan_.lo(s), plan_.hi(s), [&](NodeId v) {
+    const std::span<const Message> inbox(inbox_[v].data(), inbox_count_[v]);
+    if (down(v)) {
+      // Mail queued for a dead node dies with it.
+      faults_->stats().crash_drops += inbox.size();
+      inbox_count_[v] = 0;
+      settle(v, true, 0, round, settled);
+      return;
+    }
+    FDLSP_ASSERT(frame.finished[v] == 0 || !inbox.empty(),
+                 "a finished node runs only on mail");
+    if (trace_ != nullptr) {
+      for (const Message& message : inbox)
+        trace_->on_deliver(message.from, v);
+      trace_->on_local_step(v);
+    }
+    SyncContext ctx(this, v, graph_.neighbors(v), round, frame.phase);
+    if (lanes != nullptr) {
+      ctx.lanes_ = lanes;
+      ctx.plan_ = plan_;
+      ctx.shard_ = s;
+      ctx.channels_ = &shard_channels_[s];
+    }
+    set_->on_round(v, ctx, inbox);
+    refresh(v, frame, delta);
+    settle(v, frame.finished[v] != 0, ctx.wake_, round, settled);
+  });
+  frame.deltas[s] = delta;
+}
+
+/// Shard s's phase advance: every live node of its range. on_phase cannot
+/// send, so a phase step leaves nothing to merge.
+void SyncEngine::phase_shard(std::size_t s, RunFrame& frame) {
+  StepCounts delta;
+  const std::size_t hi = plan_.hi(s);
+  for (std::size_t i = plan_.lo(s); i < hi; ++i) {
+    const auto v = static_cast<NodeId>(i);
+    if (down(v)) continue;
+    if (trace_ != nullptr) trace_->on_local_step(v);
+    set_->on_phase(v, frame.phase);
+    refresh(v, frame, delta);
+  }
+  frame.deltas[s] = delta;
+}
+
 SyncMetrics SyncEngine::run(std::size_t max_rounds) {
   SyncMetrics metrics;
-  std::size_t phase = 0;
   const std::size_t n = graph_.num_nodes();
   // Fault path: (crash round, node) ascending; the round loop consumes the
   // due prefix instead of rescanning every node.
@@ -360,72 +534,19 @@ SyncMetrics SyncEngine::run(std::size_t max_rounds) {
   }
   std::size_t next_crash = 0;
 
-  // Parallel rounds need protocol isolation *and* silent seams: a trace
-  // observes callback/send order and a fault plan mutates per-message
-  // state, so either forces the serial path (they are observation and
-  // adversary channels, not hot paths). planned_shards() folds the whole
-  // predicate — it returns 1 whenever a seam forces serial, including a
-  // pooled engine nested in a pooled sweep on the same pool, which must
-  // not wait for its own task — and one planned shard runs serially.
+  // One body serves every shard count (see the header): shard s runs the
+  // node range [plan_.lo(s), plan_.hi(s)). One shard delivers directly;
+  // more buffer sends in lanes that each shard merges after a barrier.
   const std::size_t shards = planned_shards();
-  const bool parallel = shards > 1;
+  const bool sharded = shards > 1;
   // Program sets size per-shard scratch here, before any callback runs.
-  // The serial path prepares for exactly one shard (ctx.shard() == 0).
   set_->prepare_shards(shards);
-
-  // A program's finished/ready state only changes inside its own callbacks
-  // (cross-node mutation would be a protocol-isolation violation, flagged by
-  // the happens-before checker), so both predicates are cached per node and
-  // refreshed right after each callback. The old loop rescanned every
-  // program up to three times per round; this one touches only the nodes
-  // that actually ran. A crashed node counts as terminated: its callbacks
-  // stop and it neither blocks the barrier nor run completion.
-  std::vector<char> finished(n, 0);
-  std::vector<char> ready(n, 0);  // finished, or voting for phase advance
-  std::size_t finished_count = 0;
-  std::size_t ready_count = 0;
-  const auto is_down = [&](NodeId v) {
-    return faults_ != nullptr &&
-           faults_->node_down(v, static_cast<double>(current_round_));
-  };
-  const auto refresh = [&](NodeId v) {
-    const bool fin = is_down(v) || set_->finished(v);
-    const bool rdy = fin || set_->ready_for_phase_advance(v);
-    if (fin != (finished[v] != 0)) {
-      finished[v] = fin ? 1 : 0;
-      if (fin) ++finished_count; else --finished_count;
-    }
-    if (rdy != (ready[v] != 0)) {
-      ready[v] = rdy ? 1 : 0;
-      if (rdy) ++ready_count; else --ready_count;
-    }
-  };
-  current_round_ = 0;
-  for (NodeId v = 0; v < n; ++v) refresh(v);
-
-  // Wake state, sized once per run and recycled across runs like the
-  // inbox slabs (a later run with fewer shards leaves buffers empty).
-  runnable_.resize((n + kWordBits - 1) / kWordBits);
-  wake_.resize(n);
-  if (settled_.size() < shards) settled_.resize(shards);
-  wake_all(finished);
-
-  // --- sharded-run machinery (unused on the serial path) ---
-  // Shards are contiguous node ranges. Each shard's callbacks buffer their
-  // sends in a row of S lanes, one per destination shard; after the
-  // barrier, the merge for destination d drains column d in ascending
-  // source-shard order. Contiguity makes that order the serial (sender id,
-  // send order) enqueue order exactly, for any shard count — which is what
-  // makes the sharded engine byte-identical to the serial one.
-  std::vector<std::ptrdiff_t> shard_fin(shards, 0);
-  std::vector<std::ptrdiff_t> shard_rdy(shards, 0);
-  if (parallel) {
-    plan_ = ShardPlan{n, shards};
+  plan_ = ShardPlan{n, shards};
+  if (sharded) {
     // Sized-once, recycled-forever, like the inbox slabs: a later run with
     // fewer shards leaves the extra lanes and buckets empty (lanes are
     // always reset after a merge, buckets cleared by the round swap).
     if (lanes_.size() < shards * shards) lanes_.resize(shards * shards);
-    if (shard_enqueued_.size() < shards) shard_enqueued_.assign(shards, 0);
     if (dirty_next_.size() < shards) {
       dirty_next_.resize(shards);
       dirty_inbox_.resize(shards);
@@ -439,67 +560,31 @@ SyncMetrics SyncEngine::run(std::size_t max_rounds) {
       sliced_shards_ = shards;
     }
   }
-  // Refresh of one node from a worker: per-node flags are distinct memory
-  // locations, counters are accumulated per shard and merged after the
-  // barrier. No faults on this path, so is_down never applies.
-  const auto refresh_local = [&](NodeId v, std::ptrdiff_t& dfin,
-                                 std::ptrdiff_t& drdy) {
-    const bool fin = set_->finished(v);
-    const bool rdy = fin || set_->ready_for_phase_advance(v);
-    if (fin != (finished[v] != 0)) {
-      finished[v] = fin ? 1 : 0;
-      dfin += fin ? 1 : -1;
-    }
-    if (rdy != (ready[v] != 0)) {
-      ready[v] = rdy ? 1 : 0;
-      drdy += rdy ? 1 : -1;
-    }
-  };
-  // A shard visits the runnable nodes of its own range; the bitmap is
-  // read-only until apply_settled() runs after the barrier.
-  const auto round_shard = [&](std::size_t s, std::size_t round_no,
-                               std::size_t phase_no) {
-    SyncSendSlab* lanes = lanes_.data() + s * shards;
-    std::ptrdiff_t dfin = 0;
-    std::ptrdiff_t drdy = 0;
-    for_each_set_bit(runnable_, plan_.lo(s), plan_.hi(s), [&](NodeId v) {
-      SyncContext ctx(this, v, graph_.neighbors(v), round_no, phase_no);
-      ctx.lanes_ = lanes;
-      ctx.plan_ = plan_;
-      ctx.shard_ = s;
-      ctx.channels_ = &shard_channels_[s];
-      set_->on_round(
-          v, ctx, std::span<const Message>(inbox_[v].data(), inbox_count_[v]));
-      refresh_local(v, dfin, drdy);
-      settle(v, finished[v] != 0, ctx.wake_, round_no, settled_[s]);
-    });
-    shard_fin[s] = dfin;
-    shard_rdy[s] = drdy;
-  };
-  const auto phase_shard = [&](std::size_t s, std::size_t new_phase) {
-    std::ptrdiff_t dfin = 0;
-    std::ptrdiff_t drdy = 0;
-    const std::size_t hi = plan_.hi(s);
-    for (std::size_t i = plan_.lo(s); i < hi; ++i) {
-      const NodeId v = static_cast<NodeId>(i);
-      set_->on_phase(v, new_phase);
-      refresh_local(v, dfin, drdy);
-    }
-    shard_fin[s] = dfin;
-    shard_rdy[s] = drdy;
-  };
-  const auto run_sharded = [&](auto&& body) {
-    for (std::size_t s = 0; s < shards; ++s)
-      pool_->submit([&body, s] { body(s); });
-    pool_->wait_idle();
-  };
+
+  // Votes are cached per node (see refresh). A step's changes accumulate
+  // per shard and are applied by the caller after it, while the caller's
+  // own refreshes count straight into the total.
+  RunFrame frame;
+  frame.finished.assign(n, 0);
+  frame.ready.assign(n, 0);
+  frame.deltas.assign(shards, StepCounts{});
+  StepCounts total;
+  const auto all = static_cast<std::ptrdiff_t>(n);
+  current_round_ = 0;
+  for (NodeId v = 0; v < n; ++v) refresh(v, frame, total);
+
+  // Wake state, sized once per run and recycled across runs like the
+  // inbox slabs (a later run with fewer shards leaves buffers empty).
+  runnable_.resize((n + kWordBits - 1) / kWordBits);
+  wake_.resize(n);
+  if (settled_.size() < shards) settled_.resize(shards);
+  wake_all(frame.finished);
+
   // Merge for destination shard d: drain column d of the lane matrix in
   // ascending source-shard order into the recycled next-round inboxes.
-  // Runs one worker per destination shard — worker d only touches shard
-  // d's boxes/counts, its own dirty bucket, and its own enqueued counter,
-  // so the merges are disjoint by construction. Swap-moving out of a lane
-  // slot circulates payload capacities between the lane and the inbox
-  // slab — nothing is freed, the steady state stays allocation-free.
+  // Shard d touches only its own boxes, dirty bucket and step counts.
+  // Swap-moving out of a lane slot circulates payload capacities between
+  // the lane and the inbox slab, so the steady state stays alloc-free.
   const auto merge_column = [&](std::size_t d) {
     std::vector<NodeId>& dirty = dirty_next_[d];
     std::size_t count = 0;
@@ -511,18 +596,37 @@ SyncMetrics SyncEngine::run(std::size_t max_rounds) {
       }
       lane.reset();  // rewind, not freed: capacity is reused
     }
-    shard_enqueued_[d] = count;
+    frame.deltas[d].enqueued = count;
   };
-  // Applies the buffered finished/ready deltas and message counts on the
-  // driving thread, after a barrier.
-  const auto apply_shard_deltas = [&] {
-    for (std::size_t s = 0; s < shards; ++s) {
-      finished_count = static_cast<std::size_t>(
-          static_cast<std::ptrdiff_t>(finished_count) + shard_fin[s]);
-      ready_count = static_cast<std::size_t>(
-          static_cast<std::ptrdiff_t>(ready_count) + shard_rdy[s]);
-      shard_fin[s] = 0;
-      shard_rdy[s] = 0;
+
+  // A step runs the phase advance, or a round's callbacks and lane merge,
+  // on every shard; everything between steps runs on the caller alone.
+  bool phase_step = false;
+  const auto stage = [&](std::size_t s, ShardTeam::Stage which) {
+    if (which == ShardTeam::Stage::kMerge) {
+      if (!phase_step) merge_column(s);
+    } else if (phase_step) {
+      phase_shard(s, frame);
+    } else {
+      round_shard(s, frame);
+    }
+  };
+  std::optional<ShardTeam> team;
+  if (sharded) team.emplace(shards, stage);
+  const auto run_step = [&](bool phase_advance) {
+    phase_step = phase_advance;
+    if (team.has_value())
+      team->step();
+    else if (phase_advance)  // one shard: sends were delivered directly
+      phase_shard(0, frame);
+    else
+      round_shard(0, frame);
+    for (StepCounts& delta : frame.deltas) {
+      total.finished += delta.finished;
+      total.ready += delta.ready;
+      pending_messages_ += delta.enqueued;
+      total_messages_ += delta.enqueued;
+      delta = StepCounts{};
     }
   };
 
@@ -535,11 +639,11 @@ SyncMetrics SyncEngine::run(std::size_t max_rounds) {
            crashes[next_crash].first <= current_round_;
          ++next_crash) {
       const NodeId v = crashes[next_crash].second;
-      if (finished[v] == 0) refresh(v);
+      if (frame.finished[v] == 0) refresh(v, frame, total);
       clear_bit(runnable_, v);
       wake_[v] = 0;
     }
-    if (finished_count == n) {
+    if (total.finished == all) {
       metrics.completed = true;
       break;
     }
@@ -553,22 +657,12 @@ SyncMetrics SyncEngine::run(std::size_t max_rounds) {
     // Barrier: when nothing is in flight and everyone votes ready, advance
     // the phase counter instead of burning an idle round. on_phase cancels
     // every sleep.
-    if (pending_messages_ == 0 && ready_count == n) {
-      ++phase;
+    if (pending_messages_ == 0 && total.ready == all) {
+      ++frame.phase;
       ++metrics.phases;
-      if (parallel) {
-        run_sharded([&](std::size_t s) { phase_shard(s, phase); });
-        apply_shard_deltas();  // on_phase cannot send; no lanes to merge
-      } else {
-        for (NodeId v = 0; v < n; ++v) {
-          if (is_down(v)) continue;
-          if (trace_ != nullptr) trace_->on_local_step(v);
-          set_->on_phase(v, phase);
-          refresh(v);
-        }
-      }
-      wake_all(finished);
-      if (finished_count == n) {
+      run_step(true);
+      wake_all(frame.finished);
+      if (total.finished == all) {
         metrics.completed = true;
         break;
       }
@@ -589,47 +683,14 @@ SyncMetrics SyncEngine::run(std::size_t max_rounds) {
     pending_messages_ = 0;
     wake_runnable(metrics.rounds);
 
-    if (parallel) {
-      run_sharded(
-          [&](std::size_t s) { round_shard(s, metrics.rounds, phase); });
-      run_sharded(merge_column);
-      apply_shard_deltas();
-      for (std::size_t d = 0; d < shards; ++d) {
-        pending_messages_ += shard_enqueued_[d];
-        total_messages_ += shard_enqueued_[d];
-        shard_enqueued_[d] = 0;
-      }
-    } else {
-      for_each_set_bit(runnable_, 0, n, [&](NodeId v) {
-        const std::span<const Message> inbox(inbox_[v].data(),
-                                             inbox_count_[v]);
-        if (is_down(v)) {
-          // Mail queued for a dead node dies with it.
-          faults_->stats().crash_drops += inbox.size();
-          inbox_count_[v] = 0;
-          settle(v, true, 0, metrics.rounds, settled_[0]);
-          return;
-        }
-        FDLSP_ASSERT(finished[v] == 0 || !inbox.empty(),
-                     "a finished node runs only on mail");
-        if (trace_ != nullptr) {
-          for (const Message& message : inbox)
-            trace_->on_deliver(message.from, v);
-          trace_->on_local_step(v);
-        }
-        SyncContext ctx(this, v, graph_.neighbors(v), metrics.rounds, phase);
-        set_->on_round(v, ctx, inbox);
-        refresh(v);
-        settle(v, finished[v] != 0, ctx.wake_, metrics.rounds, settled_[0]);
-      });
-    }
+    run_step(false);
     apply_settled();
     if (alloc_audit_ != nullptr) alloc_audit_->end_round();
     ++metrics.rounds;
   }
 
   metrics.messages = total_messages_;
-  if (!metrics.completed) metrics.completed = finished_count == n;
+  if (!metrics.completed) metrics.completed = total.finished == all;
   if (faults_ != nullptr) metrics.faults = faults_->stats();
   return metrics;
 }

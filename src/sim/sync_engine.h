@@ -29,21 +29,23 @@
 // times under a fault plan are consumed from one sorted list, not by an
 // O(n) rescan per round.
 //
-// Sharded parallel rounds (DESIGN.md §11, §14): node callbacks are
-// protocol-isolated — a node's callback only touches that node's state, its
-// shard's scratch and the read-only graph (fdlsp-lint's cross-node-state
-// rule checks every set's body) — so with a ThreadPool attached the engine
-// partitions the node id space into contiguous shards and runs each
-// shard's callbacks on a worker. Each shard owns its slice of state: its
-// nodes' inbox slabs, a ChannelTable slice for send-side validation, and
-// an S-lane row of send slabs, one lane per destination shard. After the
-// round barrier a second parallel dispatch merges, per destination shard,
-// the lanes addressed to it in ascending source-shard order — which
-// reproduces the serial (sender id, send order) enqueue order exactly, so
-// the run is byte-identical to the serial engine for any shard count.
-// Trace and fault seams force the serial path: they are
-// observation/adversary channels, not hot paths, and their event ordering
-// contracts stay exactly as documented.
+// Sharded rounds (DESIGN.md §11, §14): node callbacks are protocol-
+// isolated — a node's callback only touches that node's state, its shard's
+// scratch and the read-only graph (fdlsp-lint's cross-node-state rule
+// checks every set's body) — so set_shards(S) partitions the node id space
+// into S contiguous shards and runs each on its own thread: the caller's
+// thread is shard 0, and run() starts S-1 threads for the others and joins
+// them before it returns. The threads meet at barriers, never at a task
+// queue. Each shard owns its slice of state: its nodes' inbox slabs, a
+// ChannelTable slice for send-side validation, and an S-lane row of send
+// slabs, one lane per destination shard. After the round barrier each
+// shard merges the lanes addressed to it in ascending source-shard order —
+// which reproduces the serial (sender id, send order) enqueue order
+// exactly, so the run is byte-identical to the serial engine for any shard
+// count. Serial execution is the one-shard case of the same round body,
+// delivering directly instead of through lanes. Trace and fault seams pin
+// one shard: they are observation/adversary channels, not hot paths, and
+// their event ordering contracts stay exactly as documented.
 #pragma once
 
 #include <algorithm>
@@ -64,7 +66,6 @@ namespace fdlsp {
 
 class AllocAudit;
 class SyncEngine;
-class ThreadPool;
 
 /// Capture target for a context's sends (see SyncContext::reframed and
 /// SyncContext::external): the sink borrows the message for the duration
@@ -75,7 +76,7 @@ class ThreadPool;
 /// allocator traffic to a program's steady state.
 using SyncCaptureSink = std::function<void(NodeId to, const Message& message)>;
 
-/// One send buffered by a parallel-round shard, merged in canonical order
+/// One send buffered by a sharded round's shard, merged in canonical order
 /// after the shard barrier (engine internal).
 struct SyncBufferedSend {
   NodeId to;
@@ -168,7 +169,7 @@ class SyncContext {
 
   /// Index of the engine shard executing this callback; 0 on the serial
   /// path. Program sets (SyncProgramSet) may index per-shard scratch by
-  /// this value race-free: exactly one worker drives a shard's callbacks,
+  /// this value race-free: exactly one thread drives a shard's callbacks,
   /// and the serial engine always reports shard 0.
   std::size_t shard() const noexcept { return shard_; }
 
@@ -267,12 +268,12 @@ class SyncContext {
   std::size_t wake_ = 0;  // sleep_until() target; 0 = run next round
   // Non-null: capture instead of send (reframed and external contexts).
   const SyncCaptureSink* capture_ = nullptr;
-  // Non-null on parallel rounds: the executing shard's row of per-
+  // Non-null on sharded rounds: the executing shard's row of per-
   // destination-shard send lanes. Sends are buffered in
   // lanes_[plan_.shard_of(to)] for the post-barrier merge instead of
-  // touching shared engine state from a worker thread.
+  // touching state another shard's thread owns.
   SyncSendSlab* lanes_ = nullptr;
-  ShardPlan plan_{};                        // parallel rounds only
+  ShardPlan plan_{};                        // sharded rounds only
   std::size_t shard_ = 0;                   // executing shard (0 = serial)
   const ChannelTable* channels_ = nullptr;  // shard-local send validation
 };
@@ -335,6 +336,9 @@ struct SyncMetrics {
 /// Drives a SyncProgramSet over a communication graph.
 class SyncEngine {
  public:
+  /// Most shards (so threads) one run() starts; larger counts are capped.
+  static constexpr std::size_t kMaxShards = 64;
+
   /// Neither the graph nor the set is owned; both must outlive the engine.
   /// The set must hold one program per node. Results are read from the set
   /// after run().
@@ -356,25 +360,21 @@ class SyncEngine {
   /// outlive the run.
   void set_fault_plan(FaultPlan* plan) noexcept { faults_ = plan; }
 
-  /// Shards state and rounds across `pool` (nullptr detaches → serial).
-  /// The result is byte-identical to the serial engine for any shard or
-  /// thread count: each contiguous node shard buffers its sends per
+  /// Runs the next run() on `shards` contiguous node shards, one thread
+  /// each: the caller's thread runs shard 0 and run() starts and joins the
+  /// others. 0 or 1 (the default) runs serially; a count above the node
+  /// count or kMaxShards is capped there. The result is byte-identical to
+  /// the serial engine for any count: each shard buffers its sends per
   /// destination shard, and the post-barrier merge drains each
   /// destination's lanes in ascending source-shard order — exactly the
-  /// serial enqueue order. An attached trace or fault plan forces serial
-  /// execution so their event ordering contracts are untouched. Not owned;
-  /// must outlive the run.
-  void set_thread_pool(ThreadPool* pool) noexcept { pool_ = pool; }
-
-  /// Explicit shard count for pooled runs; 0 (the default) derives the
-  /// count from the pool size. Capped at the node count. Ignored — like
-  /// the pool itself — whenever a seam forces the serial path.
+  /// serial enqueue order. An attached trace or fault plan pins one shard
+  /// so their event ordering contracts are untouched.
   void set_shards(std::size_t shards) noexcept { shards_config_ = shards; }
 
-  /// Number of state shards the next run() will execute with: 1 whenever a
-  /// seam forces the serial path (no pool, trace or faults attached, empty
-  /// graph, nested on a pool worker), otherwise the set_shards() override
-  /// or the automatic pool-derived count, capped at the node count.
+  /// Number of shards (and threads) the next run() will execute with: 1
+  /// whenever a seam forces the serial path (trace or faults attached,
+  /// empty graph), otherwise the set_shards() count clamped to
+  /// [1, min(nodes, kMaxShards)].
   std::size_t planned_shards() const noexcept;
 
   /// Attaches an allocation auditor (nullptr detaches): each communication
@@ -396,11 +396,18 @@ class SyncEngine {
     auto operator<=>(const SyncWake&) const = default;
   };
 
+  struct StepCounts;  // what one shard's step changed (sync_engine.cpp)
+  struct RunFrame;    // what one run()'s shards share (sync_engine.cpp)
+
   void wake_runnable(std::size_t round);
   void settle(NodeId v, bool finished, std::size_t wake, std::size_t round,
               std::vector<SyncWake>& settled);
   void apply_settled();
   void wake_all(const std::vector<char>& finished);
+  bool down(NodeId v) const;
+  void refresh(NodeId v, RunFrame& frame, StepCounts& delta);
+  void round_shard(std::size_t s, RunFrame& frame);
+  void phase_shard(std::size_t s, RunFrame& frame);
   void deliver(NodeId from, NodeId to, Message&& message);
   void deliver_trusted(NodeId from, NodeId to, Message&& message);
   void deliver_trusted_copy(NodeId from, NodeId to, const Message& message);
@@ -422,9 +429,9 @@ class SyncEngine {
   std::vector<std::vector<Message>> next_inbox_;  // sent this round
   std::vector<std::size_t> inbox_count_;  // live messages per inbox_ slab
   std::vector<std::size_t> next_count_;   // live messages per next_ slab
-  // Dirty lists are bucketed per destination shard so the parallel lane
-  // merge appends without sharing: serial rounds use bucket 0, merge
-  // worker d uses bucket d. The round swap rewinds every bucket, so which
+  // Dirty lists are bucketed per destination shard so the sharded lane
+  // merge appends without sharing: serial rounds use bucket 0, the merge
+  // of shard d uses bucket d. The round swap rewinds every bucket, so which
   // bucket recorded a box never matters for correctness.
   std::vector<std::vector<NodeId>> dirty_inbox_;  // inbox_ boxes w/ messages
   std::vector<std::vector<NodeId>> dirty_next_;   // next_inbox_ boxes
@@ -435,8 +442,8 @@ class SyncEngine {
   // awake; wake_runnable() adds this round's mail recipients and due
   // sleepers, and the round visits exactly the set bits. The bitmap is
   // read-only while callbacks run: each shard buffers its nodes' exits
-  // (SyncWake) in settled_[shard], applied after the round by the driving
-  // thread, so no bitmap word is ever written by two workers.
+  // (SyncWake) in settled_[shard], applied after the round by the caller's
+  // thread, so no bitmap word is ever written by two shards.
   std::vector<std::uint64_t> runnable_;
   // Per node: the round its live calendar entry wakes it, 0 when none.
   // Calendar entries are checked against it lazily, so an entry a mail
@@ -446,18 +453,16 @@ class SyncEngine {
   std::vector<std::vector<SyncWake>> settled_;   // per shard, this round
   SimTrace* trace_ = nullptr;
   FaultPlan* faults_ = nullptr;
-  ThreadPool* pool_ = nullptr;  // non-null: shard state across workers
   AllocAudit* alloc_audit_ = nullptr;  // non-null: bracket rounds
-  std::size_t shards_config_ = 0;      // set_shards(); 0 = automatic
-  // --- sharded-run state (sized on the first parallel run) ---
-  ShardPlan plan_{};                       // partition of the current run
+  std::size_t shards_config_ = 0;      // set_shards(); 0 or 1 = serial
+  ShardPlan plan_{};                   // partition of the current run
+  // --- sharded-run state (sized on the first sharded run) ---
   std::vector<SyncSendSlab> lanes_;        // S*S lanes, index src*S + dst
-  std::vector<std::size_t> shard_enqueued_;   // per-dst-shard merge counts
   std::vector<ChannelTable> shard_channels_;  // per-shard send slices
   std::size_t sliced_shards_ = 0;  // shard count the slices were built for
   ChannelTable channels_;                     // fault path only
   std::vector<std::uint64_t> channel_posts_;  // fault path only
-  std::size_t current_round_ = 0;             // fault path only
+  std::size_t current_round_ = 0;  // the round run() is executing
 };
 
 }  // namespace fdlsp

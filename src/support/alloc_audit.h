@@ -18,8 +18,8 @@
 //                      round, AsyncEngine::set_alloc_audit each event).
 //                      Like SimTrace/FaultPlan it is a null-check when
 //                      absent; unlike them it observes only global counters,
-//                      so it does NOT force the serial path — pooled rounds
-//                      are audited too.
+//                      so it does NOT force the serial path — sharded
+//                      rounds are audited too.
 #pragma once
 
 #include <cstddef>

@@ -29,43 +29,17 @@ ThreadPool::~ThreadPool() {
   for (auto& worker : workers_) worker.join();
 }
 
-void ThreadPool::push_task(std::function<void()>&& task) {
-  // Caller holds mutex_. Grow by unrolling the ring into a fresh vector in
-  // FIFO order; after the high-water mark is reached the ring recycles its
-  // slots (and their std::function small-buffer storage) without touching
-  // the allocator.
-  if (ring_count_ == ring_.size()) {
-    std::vector<std::function<void()>> bigger;
-    bigger.reserve(ring_.empty() ? 16 : ring_.size() * 2);
-    for (std::size_t i = 0; i < ring_count_; ++i)
-      bigger.push_back(std::move(ring_[(ring_head_ + i) % ring_.size()]));
-    bigger.resize(bigger.capacity());
-    ring_ = std::move(bigger);
-    ring_head_ = 0;
-  }
-  ring_[(ring_head_ + ring_count_) % ring_.size()] = std::move(task);
-  ++ring_count_;
-}
-
-std::function<void()> ThreadPool::pop_task() {
-  // Caller holds mutex_ and has checked ring_count_ > 0.
-  std::function<void()> task = std::move(ring_[ring_head_]);
-  ring_head_ = (ring_head_ + 1) % ring_.size();
-  --ring_count_;
-  return task;
-}
-
 void ThreadPool::submit(std::function<void()> task) {
   {
     std::lock_guard lock(mutex_);
-    push_task(std::move(task));
+    tasks_.push_back(std::move(task));
   }
   work_available_.notify_one();
 }
 
 void ThreadPool::wait_idle() {
   std::unique_lock lock(mutex_);
-  idle_.wait(lock, [this] { return ring_count_ == 0 && in_flight_ == 0; });
+  idle_.wait(lock, [this] { return tasks_.empty() && in_flight_ == 0; });
   if (first_error_) {
     auto error = std::exchange(first_error_, nullptr);
     lock.unlock();
@@ -84,9 +58,10 @@ void ThreadPool::worker_loop() {
     {
       std::unique_lock lock(mutex_);
       work_available_.wait(lock,
-                           [this] { return stopping_ || ring_count_ > 0; });
-      if (ring_count_ == 0) return;  // stopping_ with no work left
-      task = pop_task();
+                           [this] { return stopping_ || !tasks_.empty(); });
+      if (tasks_.empty()) return;  // stopping_ with no work left
+      task = std::move(tasks_.front());
+      tasks_.pop_front();
       ++in_flight_;
     }
     try {
@@ -98,7 +73,7 @@ void ThreadPool::worker_loop() {
     {
       std::lock_guard lock(mutex_);
       --in_flight_;
-      if (ring_count_ == 0 && in_flight_ == 0) idle_.notify_all();
+      if (tasks_.empty() && in_flight_ == 0) idle_.notify_all();
     }
   }
 }

@@ -5,6 +5,7 @@
 
 #include <condition_variable>
 #include <cstddef>
+#include <deque>
 #include <exception>
 #include <functional>
 #include <mutex>
@@ -36,9 +37,9 @@ class ThreadPool {
   ///
   /// Must not be called from one of this pool's own workers: the waiter
   /// would itself be an in-flight task and never see the pool idle. Check
-  /// on_worker_thread() and run serially instead — parallel_for and the
-  /// pooled engines/sweeps do exactly that, so nesting them on one shared
-  /// pool degrades gracefully rather than deadlocking.
+  /// on_worker_thread() and run serially instead — parallel_for does
+  /// exactly that, so the pooled sweeps nest on one shared pool without
+  /// deadlocking.
   void wait_idle();
 
   /// True when the calling thread is one of this pool's workers.
@@ -49,21 +50,11 @@ class ThreadPool {
 
  private:
   void worker_loop();
-  void push_task(std::function<void()>&& task);
-  std::function<void()> pop_task();
 
   std::mutex mutex_;
   std::condition_variable work_available_;
   std::condition_variable idle_;
-  // FIFO ring over a capacity-retaining vector instead of a deque: a deque
-  // allocates and frees blocks as the head crosses block boundaries, which
-  // shows up as steady per-round allocator traffic in the pooled engines'
-  // zero-alloc profile (tests/engine_alloc_test.cpp). The ring reaches its
-  // high-water capacity once and then cycles allocation-free; slots hold
-  // moved-from std::function shells whose small-buffer storage is reused.
-  std::vector<std::function<void()>> ring_;
-  std::size_t ring_head_ = 0;   // index of the oldest queued task
-  std::size_t ring_count_ = 0;  // queued (not yet popped) tasks
+  std::deque<std::function<void()>> tasks_;  // FIFO, oldest first
   std::vector<std::thread> workers_;
   std::exception_ptr first_error_;
   std::size_t in_flight_ = 0;

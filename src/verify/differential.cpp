@@ -128,14 +128,14 @@ ScenarioSweep run_scenarios(std::span<const Scenario> scenarios,
 
 ScenarioOutcome check_shard_determinism(
     SchedulerKind kind, const Scenario& scenario,
-    std::span<const std::size_t> shard_counts, ThreadPool& pool) {
+    std::span<const std::size_t> shard_counts) {
   ScenarioOutcome outcome;
   const Graph graph = materialize(scenario);
   const ScheduleResult serial = run_scheduler(kind, graph, scenario.seed);
   for (const std::size_t shards : shard_counts) {
     ++outcome.checks;
-    const ScheduleResult sharded = run_scheduler(
-        kind, graph, scenario.seed, {.pool = &pool, .shards = shards});
+    const ScheduleResult sharded =
+        run_scheduler(kind, graph, scenario.seed, {.shards = shards});
     if (!same_run(serial, sharded)) {
       outcome.failures.push_back(
           "sharded run diverged from serial at shards=" +

@@ -120,17 +120,16 @@ ScenarioSweep run_scenarios(std::span<const Scenario> scenarios,
 
 /// Sharded-engine determinism probe (DESIGN.md §14): materializes the
 /// scenario, runs `kind` serially, then once per entry S of `shard_counts`
-/// with the RunConfig {.pool = &pool, .shards = S}, which shards the
-/// synchronous engine across `pool`, and compares each sharded result to
-/// the serial one byte-for-byte — coloring bytes, slot count, rounds,
-/// messages, completion. `kind` must run on the synchronous engine (DFS
-/// rejects a shard count). One check per shard count; each divergence
+/// with the RunConfig {.shards = S}, which runs the synchronous engine on
+/// S shards and S threads, and compares each sharded result to the serial
+/// one byte-for-byte — coloring bytes, slot count, rounds, messages,
+/// completion. `kind` must run on the synchronous engine (DFS rejects a
+/// shard count). One check per shard count; each divergence
 /// becomes one failure string carrying the repro command. Shaped as a
 /// ScenarioCheckFn body so property suites sweep it with run_scenarios.
-ScenarioOutcome check_shard_determinism(SchedulerKind kind,
-                                        const Scenario& scenario,
-                                        std::span<const std::size_t> shard_counts,
-                                        ThreadPool& pool);
+ScenarioOutcome check_shard_determinism(
+    SchedulerKind kind, const Scenario& scenario,
+    std::span<const std::size_t> shard_counts);
 
 /// Asynchronous-engine equivalence probe (DESIGN.md §16): materializes the
 /// scenario, runs fault-free synchronous DistMIS (run_dist_mis) as the

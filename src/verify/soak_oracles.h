@@ -77,7 +77,7 @@ SoakVerdict run_soak_with_oracles(const SoakSpec& spec,
                                   const SoakOracleOptions& oracle_options = {});
 
 /// Steady-state determinism oracle: the runs described by (spec, a) and
-/// (spec, b) — e.g. a serial engine vs an 8-thread pool — must produce
+/// (spec, b) — e.g. a serial engine vs an 8-shard one — must produce
 /// byte-identical event logs and final schedules.
 OracleVerdict check_soak_determinism(const SoakSpec& spec,
                                      const SoakOptions& a = {},

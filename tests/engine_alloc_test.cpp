@@ -2,9 +2,9 @@
 // message path: a full DistMIS-GBG run on the paper-scale UDG fixture
 // (n=1000, average degree ~6 — the headline BM_DistMisUdg row) must reach a
 // state where rounds stop touching the allocator entirely, on the serial
-// engine AND the sharded pooled engine. A set whose nodes sleep between
-// sends (SyncContext::sleep_until) holds the engine's calendar of sleepers
-// and per-shard wake buffers to the same tail on all three paths.
+// engine AND at 2 and 8 shards. A set whose nodes sleep between sends
+// (SyncContext::sleep_until) holds the engine's calendar of sleepers and
+// per-shard wake buffers to the same tail on all three.
 //
 // The assertions are margin-based rather than exact counts so that benign
 // library-version drift in container growth policies does not break the
@@ -42,7 +42,6 @@
 #include "sim/sync_engine.h"
 #include "support/alloc_audit.h"
 #include "support/rng.h"
-#include "support/thread_pool.h"
 
 namespace fdlsp {
 namespace {
@@ -58,10 +57,8 @@ Graph paper_udg(std::size_t n) {
 }
 
 /// Runs DistMIS-GBG with the auditor attached and asserts the steady-state
-/// allocation profile. `pool` may be null (serial engine); `shards` is the
-/// explicit engine shard count (0 = pool-derived).
-void assert_steady_state_profile(const Graph& graph, ThreadPool* pool,
-                                 std::size_t shards = 0) {
+/// allocation profile. `shards` is the engine shard count (0 = serial).
+void assert_steady_state_profile(const Graph& graph, std::size_t shards) {
   AllocAudit audit;
   std::vector<std::uint64_t> history;
   history.reserve(2048);
@@ -70,7 +67,6 @@ void assert_steady_state_profile(const Graph& graph, ThreadPool* pool,
   DistMisOptions options;
   options.variant = DistMisVariant::kGbg;
   options.seed = 42;
-  options.pool = pool;
   options.shards = shards;
   options.audit = &audit;
   const ScheduleResult result = run_dist_mis(graph, options);
@@ -114,28 +110,22 @@ TEST(AllocAuditRegion, CountsHeapTraffic) {
 TEST(EngineAllocProfile, SerialDistMisReachesZeroAllocSteadyState) {
   if (!alloc_audit_enabled())
     GTEST_SKIP() << "allocation hooks compiled out (sanitizer build)";
-  assert_steady_state_profile(paper_udg(1000), nullptr);
-}
-
-TEST(EngineAllocProfile, PooledDistMisReachesZeroAllocSteadyState) {
-  if (!alloc_audit_enabled())
-    GTEST_SKIP() << "allocation hooks compiled out (sanitizer build)";
-  ThreadPool pool(2);
-  assert_steady_state_profile(paper_udg(1000), &pool);
+  assert_steady_state_profile(paper_udg(1000), 0);
 }
 
 TEST(EngineAllocProfile, ShardedDistMisKeepsZeroAllocTailPerShardCount) {
   // Sharded *state* must preserve the allocation-free tail: per-shard send
   // lanes recycle slot capacity exactly like the inbox slabs, the lane
-  // merge swap-moves payloads (never frees), and the SoA per-shard scratch
-  // is pre-sized by prepare_shards. The audit does not force the serial
-  // path, so these runs really exercise the lanes.
+  // merge swap-moves payloads (never frees), the SoA per-shard scratch is
+  // pre-sized by prepare_shards, and the shard team's threads and barrier
+  // exist before the first round and allocate nothing per round. The
+  // audit does not force the serial path, so these runs really exercise
+  // the lanes.
   if (!alloc_audit_enabled())
     GTEST_SKIP() << "allocation hooks compiled out (sanitizer build)";
   const Graph graph = paper_udg(1000);
-  ThreadPool pool(2);
   for (const std::size_t shards : {2u, 8u})
-    assert_steady_state_profile(graph, &pool, shards);
+    assert_steady_state_profile(graph, shards);
 }
 
 /// Nodes that now and then broadcast a one-word beacon and sleep a hashed
@@ -176,13 +166,12 @@ class BeaconSleepSet final : public SyncProgramSet {
 /// Runs BeaconSleepSet with the auditor attached and asserts the same
 /// steady-state profile as the DistMIS gate: sleeping nodes, the calendar
 /// and the per-shard wake buffers allocate only while warming up.
-void assert_sleeping_steady_state_profile(const Graph& graph, ThreadPool* pool,
-                                          std::size_t shards = 0) {
+void assert_sleeping_steady_state_profile(const Graph& graph,
+                                          std::size_t shards) {
   AllocAudit audit;
   BeaconSleepSet set(graph.num_nodes());
   SyncEngine engine(graph, set);
   engine.set_alloc_audit(&audit);
-  engine.set_thread_pool(pool);
   engine.set_shards(shards);
   const SyncMetrics metrics = engine.run(400);
   ASSERT_EQ(metrics.rounds, 400U);
@@ -201,11 +190,8 @@ TEST(EngineAllocProfile, SleepingNodesKeepZeroAllocTail) {
   if (!alloc_audit_enabled())
     GTEST_SKIP() << "allocation hooks compiled out (sanitizer build)";
   const Graph graph = paper_udg(1000);
-  assert_sleeping_steady_state_profile(graph, nullptr);
-  ThreadPool pool(2);
-  assert_sleeping_steady_state_profile(graph, &pool);
-  for (const std::size_t shards : {2u, 8u})
-    assert_sleeping_steady_state_profile(graph, &pool, shards);
+  for (const std::size_t shards : {0u, 2u, 8u})
+    assert_sleeping_steady_state_profile(graph, shards);
 }
 
 /// Runs asynchronous DistMIS-GBG with the per-event auditor attached and
@@ -304,26 +290,25 @@ TEST(EngineAllocProfile, AsyncDfsAllocatesWellUnderOncePerMessage) {
   EXPECT_LT(audit.total_allocations(), 3 * audit.rounds() / 4);
 }
 
-TEST(EngineAllocProfile, SerialAndPooledAgreeOnTheResult) {
+TEST(EngineAllocProfile, SerialAndShardedAgreeOnTheResult) {
   // Independent of the audit hooks: attaching an auditor must not change
-  // the schedule, and the pooled engine stays byte-identical to serial.
+  // the schedule, and the sharded engine stays byte-identical to serial.
   const Graph graph = paper_udg(300);
   DistMisOptions serial;
   serial.seed = 42;
   const ScheduleResult base = run_dist_mis(graph, serial);
 
   AllocAudit audit;
-  ThreadPool pool(2);
   DistMisOptions audited;
   audited.seed = 42;
-  audited.pool = &pool;
+  audited.shards = 8;
   audited.audit = &audit;
-  const ScheduleResult pooled = run_dist_mis(graph, audited);
+  const ScheduleResult sharded = run_dist_mis(graph, audited);
 
-  EXPECT_EQ(base.rounds, pooled.rounds);
-  EXPECT_EQ(base.messages, pooled.messages);
-  EXPECT_EQ(base.num_slots, pooled.num_slots);
-  EXPECT_EQ(audit.rounds(), pooled.rounds);
+  EXPECT_EQ(base.rounds, sharded.rounds);
+  EXPECT_EQ(base.messages, sharded.messages);
+  EXPECT_EQ(base.num_slots, sharded.num_slots);
+  EXPECT_EQ(audit.rounds(), sharded.rounds);
 }
 
 }  // namespace

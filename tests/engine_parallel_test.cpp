@@ -4,9 +4,9 @@
 //    a vector at the API level — inline up to 4 words, transparent heap
 //    spill beyond, value-type copy/move/equality — because every protocol
 //    in src/algos reads and writes message.data through that interface.
-// 2. Parallel rounds: SyncEngine sharded across a ThreadPool must be
+// 2. Sharded rounds: SyncEngine run on S shards and S threads must be
 //    BYTE-IDENTICAL to the serial engine — same coloring bytes, same
-//    rounds, same message counts — for any thread count. Verified for
+//    rounds, same message counts — for any shard count. Verified for
 //    every engine-backed scheduler across all six scenario families.
 // 3. run_scenarios: the sharded sweep driver must report identical counts
 //    and identical (lowest-index-first) failure ordering for any pool.
@@ -15,6 +15,7 @@
 //    without changing their results.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -148,36 +149,13 @@ TEST(SmallPayload, InsertAndAssignRanges) {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel rounds: byte-identical to serial for any thread count
+// Sharded rounds: the scenario sample
 // ---------------------------------------------------------------------------
 
-/// Engine-backed schedulers (the ones a ThreadPool actually reaches).
+/// Engine-backed schedulers (the ones a shard count actually reaches).
 constexpr SchedulerKind kEngineKinds[] = {SchedulerKind::kDistMisGbg,
                                           SchedulerKind::kDistMisGeneral,
                                           SchedulerKind::kRandomized};
-
-TEST(ParallelEngine, ByteIdenticalToSerialForAnyThreadCount) {
-  const std::vector<Scenario> scenarios = sample_scenarios(18, 0x9a11e1, 24);
-  for (std::size_t threads : {2u, 4u, 8u}) {
-    ThreadPool pool(threads);
-    for (const SchedulerKind kind : kEngineKinds) {
-      for (const Scenario& scenario : scenarios) {
-        const Graph graph = materialize(scenario);
-        const ScheduleResult serial =
-            run_scheduler(kind, graph, scenario.seed);
-        const ScheduleResult parallel =
-            run_scheduler(kind, graph, scenario.seed, {.pool = &pool});
-        ASSERT_EQ(serial.coloring.raw(), parallel.coloring.raw())
-            << "threads=" << threads << " "
-            << repro_command(scenario, kind);
-        EXPECT_EQ(serial.num_slots, parallel.num_slots);
-        EXPECT_EQ(serial.rounds, parallel.rounds);
-        EXPECT_EQ(serial.messages, parallel.messages);
-        EXPECT_EQ(serial.completed, parallel.completed);
-      }
-    }
-  }
-}
 
 TEST(ParallelEngine, AllSixFamiliesCovered) {
   // sample_scenarios cycles families; make coverage explicit so a future
@@ -189,37 +167,6 @@ TEST(ParallelEngine, AllSixFamiliesCovered) {
   for (const GraphFamily family : kAllFamilies)
     EXPECT_TRUE(seen[static_cast<std::size_t>(family)])
         << "family not sampled: " << family_name(family);
-}
-
-TEST(ParallelEngine, DistributedRepairMatchesSerial) {
-  Rng rng(0x5eed);
-  const Graph graph = generate_gnm(40, 110, rng);
-  const ArcView view(graph);
-  ArcColoring stale = greedy_coloring(view);
-  // Invalidate a slice of the schedule so repair has real work to do.
-  for (ArcId a = 0; a < stale.num_arcs(); a += 3) stale.clear(a);
-  const DistRepairResult serial = run_distributed_repair(graph, stale, 11);
-  ThreadPool pool(4);
-  const DistRepairResult parallel =
-      run_distributed_repair(graph, stale, 11, {.pool = &pool});
-  EXPECT_EQ(serial.coloring.raw(), parallel.coloring.raw());
-  EXPECT_EQ(serial.recolored_arcs, parallel.recolored_arcs);
-  EXPECT_EQ(serial.rounds, parallel.rounds);
-  EXPECT_EQ(serial.messages, parallel.messages);
-}
-
-TEST(ParallelEngine, PoolReusableAcrossRuns) {
-  // One pool, many runs: the engine must leave no residue in the pool or
-  // in itself between runs.
-  ThreadPool pool(3);
-  const Graph graph = generate_cycle(20);
-  const ScheduleResult first =
-      run_scheduler(SchedulerKind::kDistMisGbg, graph, 42, {.pool = &pool});
-  const ScheduleResult second =
-      run_scheduler(SchedulerKind::kDistMisGbg, graph, 42, {.pool = &pool});
-  EXPECT_EQ(first.coloring.raw(), second.coloring.raw());
-  EXPECT_EQ(first.rounds, second.rounds);
-  EXPECT_EQ(first.messages, second.messages);
 }
 
 // ---------------------------------------------------------------------------
@@ -283,18 +230,19 @@ TEST(ShardedEngine, ShardPlanPartitionsContiguouslyAndInvertsExactly) {
   }
 }
 
-// The tentpole contract: with engine *state* partitioned into 1/2/4/8
-// contiguous shards — per-shard send lanes, ChannelTable slices, SoA
-// protocol scratch — every engine-backed scheduler must stay byte-identical
-// to the serial run across all six scenario families. The probe lives in
+// The tentpole contract: with engine *state* partitioned into contiguous
+// shards, each run on its own thread — per-shard send lanes, ChannelTable
+// slices, SoA protocol scratch — every engine-backed scheduler must stay
+// byte-identical to the serial run across all six scenario families. The
+// counts include 8 and 16 and one (32) above every sampled node count (at
+// most 24), which runs capped at one node per shard. The probe lives in
 // src/verify so other batteries can sweep it too.
 TEST(ShardedEngine, ByteIdenticalToSerialForAnyShardCount) {
   const std::vector<Scenario> scenarios = sample_scenarios(18, 0x9a11e1, 24);
-  constexpr std::size_t kShardCounts[] = {1, 2, 4, 8};
-  ThreadPool pool(4);
+  constexpr std::size_t kShardCounts[] = {1, 2, 4, 8, 16, 32};
   for (const SchedulerKind kind : kEngineKinds) {
     const ScenarioCheckFn check = [&](const Scenario& scenario, std::size_t) {
-      return check_shard_determinism(kind, scenario, kShardCounts, pool);
+      return check_shard_determinism(kind, scenario, kShardCounts);
     };
     const ScenarioSweep sweep = run_scenarios(scenarios, check, nullptr);
     EXPECT_EQ(sweep.checks, scenarios.size() * std::size(kShardCounts));
@@ -303,14 +251,13 @@ TEST(ShardedEngine, ByteIdenticalToSerialForAnyShardCount) {
 }
 
 // A crash-fault plan is an adversary channel: it must force the serial path
-// even when a pool and an explicit shard count are configured (mirrors the
-// trace-seam check), and the faulted result must be byte-identical to the
-// serial faulted run — crash drops included.
+// even when a shard count is configured (mirrors the trace-seam check), and
+// the faulted result must be byte-identical to the serial faulted run —
+// crash drops included.
 TEST(ShardedEngine, FaultPlanForcesSerialPathWithShardingConfigured) {
   const std::vector<Scenario> scenarios = sample_scenarios(6, 0xc7a54, 20);
   FaultSpec spec;
   spec.crash_fraction = 0.2;
-  ThreadPool pool(4);
   for (const Scenario& scenario : scenarios) {
     const Graph graph = materialize(scenario);
     DistMisOptions serial_options;
@@ -318,7 +265,6 @@ TEST(ShardedEngine, FaultPlanForcesSerialPathWithShardingConfigured) {
     serial_options.faults = &spec;
     const ScheduleResult serial = run_dist_mis(graph, serial_options);
     DistMisOptions sharded_options = serial_options;
-    sharded_options.pool = &pool;
     sharded_options.shards = 4;
     const ScheduleResult sharded = run_dist_mis(graph, sharded_options);
     ASSERT_EQ(serial.coloring.raw(), sharded.coloring.raw())
@@ -328,8 +274,8 @@ TEST(ShardedEngine, FaultPlanForcesSerialPathWithShardingConfigured) {
     EXPECT_EQ(serial.completed, sharded.completed);
     EXPECT_EQ(serial.faults.crash_drops, sharded.faults.crash_drops);
   }
-  // The seam decision itself, stated directly on the engine: pool + shards
-  // configured, but an installed fault plan pins the plan to one shard.
+  // The seam decision itself, stated directly on the engine: set_shards(4)
+  // alone plans four shards, and an installed fault plan pins one.
   // The set never runs; it only gives the engine its node count.
   class InertSet final : public SyncProgramSet {
    public:
@@ -346,7 +292,6 @@ TEST(ShardedEngine, FaultPlanForcesSerialPathWithShardingConfigured) {
   const Graph graph = materialize(scenarios.front());
   InertSet none(graph.num_nodes());
   SyncEngine engine(graph, none);
-  engine.set_thread_pool(&pool);
   engine.set_shards(4);
   EXPECT_EQ(engine.planned_shards(), 4u);
   FaultPlan plan(spec, graph);
@@ -362,7 +307,6 @@ TEST(ShardedEngine, ReliableWrapperRunsShardedAndMatchesSerial) {
   // sharded, and must still match the serial run byte-for-byte.
   const std::vector<Scenario> scenarios = sample_scenarios(4, 0xab1e, 16);
   constexpr std::size_t kShardCounts[] = {2, 4, 8};
-  ThreadPool pool(4);
   for (const Scenario& scenario : scenarios) {
     const Graph graph = materialize(scenario);
     for (const SchedulerKind kind :
@@ -371,8 +315,7 @@ TEST(ShardedEngine, ReliableWrapperRunsShardedAndMatchesSerial) {
           run_scheduler(kind, graph, scenario.seed, {.reliable = true});
       for (const std::size_t shards : kShardCounts) {
         const ScheduleResult sharded = run_scheduler(
-            kind, graph, scenario.seed,
-            {.reliable = true, .pool = &pool, .shards = shards});
+            kind, graph, scenario.seed, {.reliable = true, .shards = shards});
         ASSERT_EQ(serial.coloring.raw(), sharded.coloring.raw())
             << "shards=" << shards << " " << repro_command(scenario, kind);
         EXPECT_EQ(serial.rounds, sharded.rounds);
@@ -386,8 +329,7 @@ TEST(ShardedEngine, ReliableWrapperRunsShardedAndMatchesSerial) {
         graph, stale, scenario.seed, {.reliable = true});
     for (const std::size_t shards : kShardCounts) {
       const DistRepairResult sharded = run_distributed_repair(
-          graph, stale, scenario.seed,
-          {.reliable = true, .pool = &pool, .shards = shards});
+          graph, stale, scenario.seed, {.reliable = true, .shards = shards});
       ASSERT_EQ(serial.coloring.raw(), sharded.coloring.raw())
           << "repair shards=" << shards << " family="
           << family_name(scenario.family) << " n=" << scenario.n
@@ -406,15 +348,75 @@ TEST(ShardedEngine, RepairMatchesSerialForExplicitShardCounts) {
   ArcColoring stale = greedy_coloring(view);
   for (ArcId a = 0; a < stale.num_arcs(); a += 3) stale.clear(a);
   const DistRepairResult serial = run_distributed_repair(graph, stale, 11);
-  ThreadPool pool(4);
-  for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
-    const DistRepairResult sharded = run_distributed_repair(
-        graph, stale, 11, {.pool = &pool, .shards = shards});
+  for (const std::size_t shards : {1u, 2u, 4u, 8u, 16u}) {
+    const DistRepairResult sharded =
+        run_distributed_repair(graph, stale, 11, {.shards = shards});
     ASSERT_EQ(serial.coloring.raw(), sharded.coloring.raw())
         << "shards=" << shards;
     EXPECT_EQ(serial.recolored_arcs, sharded.recolored_arcs);
     EXPECT_EQ(serial.rounds, sharded.rounds);
     EXPECT_EQ(serial.messages, sharded.messages);
+  }
+}
+
+/// Every node broadcasts an order-sensitive digest of its inbox for
+/// `rounds` rounds and finishes one round later, so a run ends with
+/// nothing in flight; reset() rewinds it for another run on one engine.
+class DigestSet final : public SyncProgramSet {
+ public:
+  DigestSet(std::size_t nodes, std::size_t rounds)
+      : digest_(nodes, 0), done_(nodes, 0), rounds_(rounds) {}
+
+  std::size_t size() const override { return digest_.size(); }
+  void on_round(NodeId v, SyncContext& ctx,
+                std::span<const Message> inbox) override {
+    for (const Message& message : inbox)
+      digest_[v] = digest_[v] * 31 + message.from * 7 +
+                   static_cast<std::uint64_t>(message.data[0]);
+    if (ctx.round() >= rounds_) {
+      done_[v] = 1;
+      return;
+    }
+    Message message;
+    message.tag = 1;
+    message.data = {static_cast<std::int64_t>((digest_[v] + v) % 1'000'003)};
+    ctx.broadcast(std::move(message));
+  }
+  bool ready_for_phase_advance(NodeId) const override { return false; }
+  void on_phase(NodeId, std::size_t) override {}
+  bool finished(NodeId v) const override { return done_[v] != 0; }
+
+  void reset() {
+    std::fill(digest_.begin(), digest_.end(), std::uint64_t{0});
+    std::fill(done_.begin(), done_.end(), char{0});
+  }
+  const std::vector<std::uint64_t>& digests() const { return digest_; }
+
+ private:
+  std::vector<std::uint64_t> digest_;
+  std::vector<char> done_;
+  std::size_t rounds_;
+};
+
+TEST(ShardedEngine, EngineReusableAcrossRunsAndShardCounts) {
+  // One engine, many runs: a run must leave no residue in the engine —
+  // lanes, channel slices, dirty buckets and wake buffers sized for one
+  // shard count are recycled by the next run at any count, and each run's
+  // team is joined before the next one starts.
+  Rng rng(9);
+  const Graph graph = generate_gnm(60, 180, rng);
+  DigestSet set(graph.num_nodes(), 12);
+  SyncEngine engine(graph, set);
+  const SyncMetrics serial = engine.run();
+  ASSERT_TRUE(serial.completed);
+  const std::vector<std::uint64_t> expected = set.digests();
+  for (const std::size_t shards : {3u, 3u, 8u, 2u, 0u}) {
+    set.reset();
+    engine.set_shards(shards);
+    const SyncMetrics metrics = engine.run();
+    EXPECT_EQ(metrics.rounds, serial.rounds) << shards << " shards";
+    EXPECT_TRUE(metrics.completed) << shards << " shards";
+    EXPECT_EQ(set.digests(), expected) << shards << " shards";
   }
 }
 
@@ -451,11 +453,10 @@ TEST(RunScenarios, PooledSweepMatchesSerialIncludingFailureOrder) {
 }
 
 // The natural composition of the two parallel grains: a pooled sweep whose
-// check runs a pooled engine on the *same* pool. The inner wait-for-idle
-// would deadlock on its own task, so both the engine and parallel_for
-// detect they are on a worker thread and degrade to serial — same results,
-// no hang (this test used to deadlock before ThreadPool::on_worker_thread).
-TEST(RunScenarios, NestedPooledEngineOnSharedPoolDegradesToSerial) {
+// check runs a sharded engine. The engine's shard team is its own, started
+// and joined inside each run, so it never waits on the sweep's pool —
+// really sharded, same results, no hang.
+TEST(RunScenarios, ShardedEngineInsidePooledSweepMatchesSerial) {
   const std::vector<Scenario> scenarios = sample_scenarios(8, 0x5eed, 18);
   ThreadPool pool(4);
   const ScenarioCheckFn nested = [&](const Scenario& scenario, std::size_t) {
@@ -463,12 +464,12 @@ TEST(RunScenarios, NestedPooledEngineOnSharedPoolDegradesToSerial) {
     const Graph graph = materialize(scenario);
     const ScheduleResult serial =
         run_scheduler_on_components(SchedulerKind::kDistMisGbg, graph, 7);
-    const ScheduleResult pooled =
-        run_scheduler(SchedulerKind::kDistMisGbg, graph, 7, {.pool = &pool});
+    const ScheduleResult sharded =
+        run_scheduler(SchedulerKind::kDistMisGbg, graph, 7, {.shards = 4});
     ++outcome.checks;
-    if (serial.coloring.raw() != pooled.coloring.raw() ||
-        serial.messages != pooled.messages)
-      outcome.failures.push_back("nested pooled run diverged");
+    if (serial.coloring.raw() != sharded.coloring.raw() ||
+        serial.messages != sharded.messages)
+      outcome.failures.push_back("sharded run inside the sweep diverged");
     return outcome;
   };
   const ScenarioSweep sweep = run_scenarios(scenarios, nested, &pool);

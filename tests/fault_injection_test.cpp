@@ -259,12 +259,14 @@ TEST(FaultInjectionTest, DfsSurvivesLossAcrossDelayModels) {
 /// Runs each of `kinds` unhardened under `spec` on the n=12 instances of
 /// `families` x seeds 1-3. Every run must return a result for the fault
 /// oracles to judge, pass or fail, instead of aborting with a
-/// contract_error, and the plan must corrupt at least one message.
+/// contract_error, and the plan must corrupt at least one message (drop
+/// one, for a plan that does not corrupt).
 void expect_verdicts_under_corruption(
     std::initializer_list<GraphFamily> families,
     std::initializer_list<SchedulerKind> kinds, const FaultSpec& spec) {
   std::size_t judged = 0;
   std::size_t corrupted = 0;
+  std::size_t dropped = 0;
   for (const GraphFamily family : families) {
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
       Scenario scenario;
@@ -284,12 +286,16 @@ void expect_verdicts_under_corruption(
         const OracleVerdict verdict = check_fault_result(graph, result);
         EXPECT_TRUE(verdict.ok || !verdict.failure.empty()) << repro;
         corrupted += result.faults.corrupted;
+        dropped += result.faults.dropped;
         ++judged;
       }
     }
   }
   EXPECT_EQ(judged, 3 * families.size() * kinds.size());
-  EXPECT_GT(corrupted, 0u) << "the plan never corrupted a message";
+  if (spec.corrupt_rate > 0.0)
+    EXPECT_GT(corrupted, 0u) << "the plan never corrupted a message";
+  else
+    EXPECT_GT(dropped, 0u) << "the plan never dropped a message";
 }
 
 // Unhardened DistMIS under corruption: a corrupted tag, length, origin,
@@ -319,6 +325,28 @@ TEST(FaultInjectionTest, UnhardenedDfsTreatsMalformedMessagesAsLost) {
   expect_verdicts_under_corruption(
       {GraphFamily::kGrid, GraphFamily::kTree, GraphFamily::kRing},
       {SchedulerKind::kDfs}, spec);
+}
+
+// Unhardened randomized treats a corrupted State triple or Veto arc as a
+// lost message, and leaves two finalized arcs that conflict because a veto
+// was lost to the fault oracles. Loss alone produces such conflicts, so
+// the loss-only plan runs on every family.
+TEST(FaultInjectionTest, UnhardenedRandomizedLeavesFaultConflictsToOracles) {
+  FaultSpec corrupting;
+  corrupting.seed = 7;
+  corrupting.drop_rate = 0.1;
+  corrupting.duplicate_rate = 0.1;
+  corrupting.corrupt_rate = 0.05;
+  expect_verdicts_under_corruption(
+      {GraphFamily::kUdg, GraphFamily::kGrid, GraphFamily::kRing},
+      {SchedulerKind::kRandomized}, corrupting);
+  FaultSpec lossy;
+  lossy.seed = 3;
+  lossy.drop_rate = 0.1;
+  expect_verdicts_under_corruption(
+      {GraphFamily::kUdg, GraphFamily::kGnm, GraphFamily::kTree,
+       GraphFamily::kGrid, GraphFamily::kRing, GraphFamily::kStar},
+      {SchedulerKind::kRandomized}, lossy);
 }
 
 // Crash-recovery workflow: crash/churn plans orphan part of a clean

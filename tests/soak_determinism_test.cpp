@@ -3,10 +3,10 @@
 // The properties the `--soak=` repro grammar depends on:
 //   * two identical centralized runs produce byte-identical event logs and
 //     final schedules;
-//   * the distributed engine produces the same bytes at 1, 2, and 8 engine
-//     threads (the sharded rounds of the performance layer must not leak
-//     scheduling order into the soak log) — this is the test the TSan
-//     preset runs to also certify the sharing is race-free;
+//   * the distributed engine produces the same bytes at 1, 8, and 32
+//     engine shards, one thread each (the sharded rounds of the performance
+//     layer must not leak scheduling order into the soak log) — this is the
+//     test the TSan preset runs to also certify the sharing is race-free;
 //   * the event *stream* (kinds, picks, topology deltas) is identical
 //     between a centralized and a distributed run of the same spec, because
 //     topology draws never consult the scheduling engine.
@@ -17,7 +17,6 @@
 #include <string>
 
 #include "soak/driver.h"
-#include "support/thread_pool.h"
 #include "verify/soak_oracles.h"
 
 namespace fdlsp {
@@ -43,28 +42,26 @@ TEST(SoakDeterminism, CentralizedRunsAreByteIdentical) {
   EXPECT_TRUE(verdict.ok) << verdict.failure;
 }
 
-TEST(SoakDeterminism, DistributedSerialMatchesTwoThreads) {
+TEST(SoakDeterminism, DistributedSerialMatchesEightShards) {
   const SoakSpec spec = small_spec(6);
-  ThreadPool pool(2);
   SoakOptions serial;
   serial.distributed = true;
   SoakOptions threaded;
   threaded.distributed = true;
-  threaded.pool = &pool;
+  threaded.shards = 8;
   const OracleVerdict verdict = check_soak_determinism(spec, serial, threaded);
   EXPECT_TRUE(verdict.ok) << verdict.failure;
 }
 
-TEST(SoakDeterminism, DistributedTwoThreadsMatchEight) {
+// 32 shards: as many as the spec's starting nodes.
+TEST(SoakDeterminism, DistributedEightShardsMatchThirtyTwo) {
   const SoakSpec spec = small_spec(7);
-  ThreadPool two(2);
-  ThreadPool eight(8);
   SoakOptions a;
   a.distributed = true;
-  a.pool = &two;
+  a.shards = 8;
   SoakOptions b;
   b.distributed = true;
-  b.pool = &eight;
+  b.shards = 32;
   const OracleVerdict verdict = check_soak_determinism(spec, a, b);
   EXPECT_TRUE(verdict.ok) << verdict.failure;
 }

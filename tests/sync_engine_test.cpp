@@ -8,7 +8,6 @@
 #include "sim/sync_engine.h"
 #include "support/check.h"
 #include "support/rng.h"
-#include "support/thread_pool.h"
 
 namespace fdlsp {
 namespace {
@@ -117,10 +116,38 @@ class IdleSet final : public SyncProgramSet {
 };
 
 TEST(SyncEngine, RejectsNonNeighborSend) {
-  const Graph path = generate_path(3);
-  IdleSet set(3, /*sender=*/0);
-  SyncEngine engine(path, set);
-  EXPECT_THROW(engine.run(10), contract_error);
+  // Node 7 of the path 0-1-...-7 messages node 2. On every shard count the
+  // sender runs in the last shard — off the caller's thread whenever the
+  // run is sharded — and run() must rethrow the contract_error on the
+  // caller and return, its shard team joined.
+  const Graph path = generate_path(8);
+  for (const std::size_t shards : {0u, 2u, 4u, 8u}) {
+    IdleSet set(8, /*sender=*/7);
+    SyncEngine engine(path, set);
+    engine.set_shards(shards);
+    ASSERT_EQ(engine.planned_shards(), std::max<std::size_t>(shards, 1));
+    EXPECT_THROW(engine.run(10), contract_error) << shards << " shards";
+  }
+}
+
+TEST(SyncEngine, ShardCountIsCappedAtNodesAndAtMaxShards) {
+  // Each planned shard past the first is a thread run() starts, so a huge
+  // count must not reach the operating system. Nothing here runs.
+  const Graph small = generate_path(5);
+  IdleSet few(5);
+  SyncEngine capped_at_nodes(small, few);
+  capped_at_nodes.set_shards(1000);
+  EXPECT_EQ(capped_at_nodes.planned_shards(), 5u);
+  const Graph large = generate_path(5000);
+  IdleSet many(5000);
+  SyncEngine engine(large, many);
+  for (const std::size_t shards :
+       {std::size_t{5000}, SyncEngine::kMaxShards + 1}) {
+    engine.set_shards(shards);
+    EXPECT_EQ(engine.planned_shards(), SyncEngine::kMaxShards) << shards;
+  }
+  engine.set_shards(SyncEngine::kMaxShards);
+  EXPECT_EQ(engine.planned_shards(), SyncEngine::kMaxShards);
 }
 
 TEST(SyncEngine, RoundCapStopsRunaway) {
@@ -440,11 +467,9 @@ TEST(SyncEngineSleep, ShardedRunsMatchSerialCallForCall) {
   const SyncMetrics base = serial_engine.run(200);
   ASSERT_TRUE(base.completed);
   ASSERT_GT(base.phases, 1u);
-  ThreadPool pool(2);
   for (const std::size_t shards : {2u, 4u, 8u}) {
     HashedSleepSet sharded(graph);
     SyncEngine engine(graph, sharded);
-    engine.set_thread_pool(&pool);
     engine.set_shards(shards);
     ASSERT_EQ(engine.planned_shards(), shards);
     const SyncMetrics metrics = engine.run(200);

@@ -19,8 +19,8 @@
 #
 # The committed JSON files are the regression references for later PRs:
 # BENCH_coloring.json documents the ConflictIndex speedup; BENCH_sim.json
-# documents the zero-alloc message path and parallel-round throughput
-# (payload-size sweep, thread sweep, DistMIS-on-UDG wall times);
+# documents the zero-alloc message path and sharded-round throughput
+# (payload-size sweep, shard sweep, DistMIS-on-UDG wall times);
 # BENCH_soak.json documents the churn pipeline (repair-latency percentiles,
 # slots churned per event, incremental-index patch vs fresh rebuild).
 # Compare a fresh run against them with `tools/ci.sh bench-compare` before

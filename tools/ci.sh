@@ -60,9 +60,9 @@ run_sanitizer() {  # $1 = preset name (asan-ubsan | tsan)
 # wrappers (distMIS: synchronous, DFS: asynchronous), drives the async
 # detector through suspect -> probe -> re-trust under a whole-graph region
 # outage, runs a soak whose every distributed repair is hardened by the
-# synchronous wrapper under bursty loss, requires unhardened DistMIS and
-# DFS under corruption to reach a fault-quiescence verdict instead of
-# aborting (exit status 2), and checks that a retired flag,
+# synchronous wrapper under bursty loss, requires unhardened DistMIS, DFS
+# and randomized under corruption to reach a fault-quiescence verdict
+# instead of aborting (exit status 2), and checks that a retired flag,
 # and flags the run would ignore (--shards without --faults, and --shards
 # on DFS, whose asynchronous engine does not shard), are rejected, not
 # ignored.
@@ -94,17 +94,21 @@ replay_smoke() {
     echo "unhardened DistMIS under corruption did not reach a verdict"
     return 1
   fi
-  # The same holds for unhardened DFS.
-  status=0
-  unhardened="$("${replay}" --family=grid --n=12 --density=0.4 --seed=1 \
-    --scheduler=DFS --faults=drop=0.1,dup=0.1,corrupt=0.05,fseed=7 \
-    --reliable=0 2>&1)" || status=$?
-  echo "${unhardened}"
-  if [ "${status}" -eq 2 ] ||
-    ! grep -q '^fault-quiescence: ' <<< "${unhardened}"; then
-    echo "unhardened DFS under corruption did not reach a verdict"
-    return 1
-  fi
+  # The same holds for unhardened DFS and randomized.
+  local scheduler
+  for scheduler in DFS randomized; do
+    status=0
+    unhardened="$("${replay}" --family=grid --n=12 --density=0.4 --seed=1 \
+      --scheduler="${scheduler}" \
+      --faults=drop=0.1,dup=0.1,corrupt=0.05,fseed=7 --reliable=0 2>&1)" ||
+      status=$?
+    echo "${unhardened}"
+    if [ "${status}" -eq 2 ] ||
+      ! grep -q '^fault-quiescence: ' <<< "${unhardened}"; then
+      echo "unhardened ${scheduler} under corruption did not reach a verdict"
+      return 1
+    fi
+  done
   if "${replay}" --family=ring --n=8 --seed=3 --scheduler=DFS \
     --faults=drop=0.1 --tuning=fixed >/dev/null 2>&1; then
     echo "replay accepted a retired transport flag"
@@ -122,23 +126,30 @@ replay_smoke() {
   fi
 }
 
-# Sharded soak replay smoke; $1 = the replay binary. With --shards=4 every
-# distributed repair runs on the pooled, sharded synchronous engine; the
-# stream's events/recolored/slots/oracle lines must match the serial replay
-# (the echoed soak: line and the wall-clock latency: line differ by design).
+# Sharded soak replay smoke; $1 = the replay binary. With --shards=S every
+# distributed repair runs on S shards of the synchronous engine, one thread
+# each (S=8 is more threads than a small CI host has cores); the stream's
+# events/recolored/slots/oracle lines must match the serial replay (the
+# echoed soak: line and the wall-clock latency: line differ by design).
 soak_replay_smoke() {
   local replay="$1"
   local soak=(--soak=seed=3,n=60,events=100 --distributed=1)
   local pattern='^(events|recolored|slots|soak oracles):'
-  local serial sharded
+  local serial sharded shards
   serial="$("${replay}" "${soak[@]}" | grep -E "${pattern}")"
-  sharded="$("${replay}" "${soak[@]}" --shards=4 | grep -E "${pattern}")"
-  if [ "$(grep -c . <<< "${serial}")" -ne 4 ] ||
-    [ "${serial}" != "${sharded}" ]; then
-    echo "sharded soak replay diverged from serial"
-    diff <(echo "${serial}") <(echo "${sharded}") || true
+  if [ "$(grep -c . <<< "${serial}")" -ne 4 ]; then
+    echo "serial soak replay printed no stream summary"
     return 1
   fi
+  for shards in 4 8; do
+    sharded="$("${replay}" "${soak[@]}" --shards="${shards}" |
+      grep -E "${pattern}")"
+    if [ "${serial}" != "${sharded}" ]; then
+      echo "sharded soak replay (--shards=${shards}) diverged from serial"
+      diff <(echo "${serial}") <(echo "${sharded}") || true
+      return 1
+    fi
+  done
 }
 
 run_faults() {
