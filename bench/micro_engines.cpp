@@ -163,8 +163,9 @@ BENCHMARK(BM_DistMisUdg)
 /// partition state (and are byte-identical — the curve is about wall time
 /// only), they just time-slice. peak_rss_mb is getrusage's
 /// process-wide high-water mark, which is monotone across rows within one
-/// binary run: the first row of a scale is the honest peak for that
-/// configuration, later rows are lower bounds.
+/// binary run, so a row reports its own peak only in a process of its own:
+/// tools/bench_smoke.sh runs each scale row that way (--benchmark_filter)
+/// and merges the rows into BENCH_sim.json.
 void BM_DistMisUdgSharded(benchmark::State& state) {
   BM_DistMisUdg(state);
   struct rusage usage {};

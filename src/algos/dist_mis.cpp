@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "algos/learned_colors.h"
 #include "coloring/conflict.h"
 #include "graph/arcs.h"
 #include "sim/async_engine.h"
@@ -33,22 +34,21 @@ constexpr std::int32_t kTagCompWin = 4;   // data: [origin, block, ttl,
 enum class LubyState : std::uint8_t { kUndecided, kInSet, kDominated };
 
 /// The whole DistMIS node population in structure-of-arrays form
-/// (DESIGN.md §14). The old per-node DistMisProgram kept every node's state
-/// in its own heap object — pointer-chasing per callback, and per-node hash
-/// tables scattered across the heap. Here the hot per-node scalars live in
-/// parallel arrays indexed by node id, so a shard's round walks dense
-/// memory, and the heavyweight tables (learned colors, greedy scratch,
-/// relay buffers) are kept *per shard*, indexed by ctx.shard(): one worker
-/// drives one shard, so shard scratch needs no synchronization, and the
-/// learned-color table for a whole shard is one flat probe array instead of
-/// thousands of small ones.
+/// (DESIGN.md §14). The hot per-node scalars live in parallel arrays indexed
+/// by node id, so a shard's round walks dense memory. Learned colors live in
+/// one LearnedColors store (algos/learned_colors.h) built before round 0: an
+/// exactly sized region per node, keyed by the arcs that node can ever read.
+/// Greedy scratch, relay buffers and assignments are kept *per shard*,
+/// indexed by ctx.shard(): one thread drives one shard, so shard scratch
+/// needs no synchronization.
 class DistMisSet final : public SyncProgramSet {
  public:
   DistMisSet(const Graph& graph, DistMisVariant variant, std::uint64_t seed)
       : view_(graph),
         variant_(variant),
         flood_radius_(variant == DistMisVariant::kGbg ? 3 : 2),
-        max_degree_(graph.max_degree()) {
+        max_degree_(graph.max_degree()),
+        colors_(view_, variant) {
     const std::size_t n = graph.num_nodes();
     // Per-node streams drawn from one seeded sequence, in node order — the
     // same seeding the per-node-program layout used, so serial results are
@@ -89,9 +89,10 @@ class DistMisSet final : public SyncProgramSet {
   }
 
   /// Sizes per-shard scratch. A set prepared once must not be re-sharded:
-  /// learned colors live in per-shard tables, and a new partition would
-  /// orphan them — the engine calls this with the same count it runs with,
-  /// and every run of one set uses one engine configuration.
+  /// each shard's wins are collected from that shard's assignment list, and
+  /// a new partition would orphan them — the engine calls this with the
+  /// same count it runs with, and every run of one set uses one engine
+  /// configuration.
   void prepare_shards(std::size_t shards) override {
     FDLSP_REQUIRE(shards > 0, "shard count must be positive");
     if (shards == prepared_) return;
@@ -99,32 +100,11 @@ class DistMisSet final : public SyncProgramSet {
                   "DistMIS state cannot be re-sharded once prepared");
     prepared_ = shards;
     shards_.resize(shards);
-    const std::size_t n = size();
-    const ShardPlan plan{n, shards};
-    const std::size_t m = view_.graph().num_edges();
-    const std::size_t avg_ceil = n > 0 ? (2 * m + n - 1) / n : 0;
+    const ShardPlan plan{size(), shards};
     for (std::size_t s = 0; s < shards; ++s) {
       ShardScratch& scratch = shards_[s];
-      const std::size_t lo = plan.lo(s);
-      const std::size_t hi = plan.hi(s);
-      // Win floods teach a node the colors of arcs colored by winners
-      // within the flood radius. Every node eventually wins and every arc
-      // is colored exactly once, so node v ends up knowing roughly
-      // |ball_D(v)| * (2m/n) arcs. The per-node envelope below is the
-      // geometric-density form of that (ball_3 of a UDG holds ~9*(deg+1)
-      // nodes), capped by the O(Δ²) ball bound for dense graphs; an
-      // under-estimate only costs a mid-run table growth, never
-      // correctness. Sizing up front keeps rehash bursts out of the
-      // steady-state rounds (the zero-alloc tail of engine_alloc_test).
-      std::size_t expected = 0;
-      for (std::size_t v = lo; v < hi; ++v) {
-        const std::size_t degree =
-            view_.graph().degree(static_cast<NodeId>(v));
-        expected += std::min(4 * max_degree_ * max_degree_,
-                             9 * (degree + 1) * (avg_ceil + 1));
-      }
-      scratch.known_colors.reserve(expected);
-      scratch.assignments.reserve(arc_offsets_[hi] - arc_offsets_[lo]);
+      scratch.assignments.reserve(arc_offsets_[plan.hi(s)] -
+                                  arc_offsets_[plan.lo(s)]);
       scratch.round_values.reserve(max_degree_);
       // The largest flood relayed or emitted is a win flood from a
       // degree-Δ origin: 3 header words + 2 per incident arc (≤ 2Δ arcs).
@@ -190,15 +170,10 @@ class DistMisSet final : public SyncProgramSet {
   std::size_t num_arcs() const noexcept { return view_.num_arcs(); }
 
  private:
-  /// Scratch owned by one shard: exactly one worker executes a shard's
+  /// Scratch owned by one shard: exactly one thread executes a shard's
   /// callbacks, so nothing here needs synchronization, and the serial
   /// engine reports shard 0 for everyone.
   struct ShardScratch {
-    // Colors learned from win floods, keyed (node << 32) | arc: the
-    // knowledge is still strictly per node — a node only "knows" colors
-    // from floods that reached *it* — but one flat table per shard replaces
-    // one per node.
-    FlatHashMap<std::uint64_t, Color> known_colors;
     std::vector<std::pair<ArcId, Color>> assignments;  // by this shard's wins
     // Same-round scratch (cleared at every on_round entry).
     std::vector<std::pair<std::int64_t, std::int64_t>> round_values;
@@ -206,10 +181,6 @@ class DistMisSet final : public SyncProgramSet {
     Message relay_scratch;   // recycled flood-relay buffer (see forward)
     Message win_scratch;     // recycled win-flood buffer (see win)
   };
-
-  static std::uint64_t color_key(NodeId v, ArcId a) noexcept {
-    return (static_cast<std::uint64_t>(v) << 32) | a;
-  }
 
   /// True when `message` has the payload its tag's layout needs and every
   /// field is in range: origin < n, 0 < ttl <= flood radius, and arcs and
@@ -275,9 +246,8 @@ class DistMisSet final : public SyncProgramSet {
         const auto block = static_cast<std::uint64_t>(message.data[1]);
         if (!mark_seen(v, message.tag, origin, block)) break;
         for (std::size_t i = 3; i + 1 < message.data.size(); i += 2) {
-          scratch.known_colors[color_key(
-              v, static_cast<ArcId>(message.data[i]))] =
-              static_cast<Color>(message.data[i + 1]);
+          colors_.learn(v, static_cast<ArcId>(message.data[i]),
+                        static_cast<Color>(message.data[i + 1]));
         }
         forward(scratch, ctx, message);
         break;
@@ -374,10 +344,9 @@ class DistMisSet final : public SyncProgramSet {
     const std::size_t arcs_end = arc_offsets_[v + 1];
     for (std::size_t i = arc_offsets_[v]; i < arcs_end; ++i) {
       const ArcId a = arcs_[i];
-      if (scratch.known_colors.contains(color_key(v, a)))
-        continue;  // colored by a neighbor
+      if (colors_.color(v, a) != kNoColor) continue;  // colored by a neighbor
       const Color c = smallest_known_feasible(v, scratch, a);
-      scratch.known_colors[color_key(v, a)] = c;
+      colors_.learn(v, a, c);
       scratch.assignments.emplace_back(a, c);
       message.data.push_back(static_cast<std::int64_t>(a));
       message.data.push_back(static_cast<std::int64_t>(c));
@@ -385,6 +354,7 @@ class DistMisSet final : public SyncProgramSet {
     mark_seen(v, kTagCompWin, v, own_block_[v]);
     ctx.broadcast(message);
     retired_[v] = 1;
+    colors_.retire(v);  // a retired node reads no color again
   }
 
   /// Smallest color not used by any known-colored conflicting arc. The
@@ -394,9 +364,9 @@ class DistMisSet final : public SyncProgramSet {
   Color smallest_known_feasible(NodeId v, ShardScratch& scratch, ArcId a) {
     scratch.used_colors.begin();
     for_each_conflicting_arc(view_, a, [&](ArcId b) {
-      const Color* color = scratch.known_colors.find(color_key(v, b));
-      if (color != nullptr)
-        scratch.used_colors.mark(static_cast<std::size_t>(*color));
+      const Color color = colors_.color(v, b);
+      if (color != kNoColor)
+        scratch.used_colors.mark(static_cast<std::size_t>(color));
     });
     return static_cast<Color>(scratch.used_colors.first_unmarked());
   }
@@ -416,6 +386,7 @@ class DistMisSet final : public SyncProgramSet {
   std::size_t flood_radius_;
   std::size_t max_degree_;
   std::size_t prepared_ = 0;  // shard count scratch is sized for
+  LearnedColors colors_;      // every node's readable learned colors
 
   // --- per-node state, parallel arrays indexed by node id ---
   std::vector<Rng> rng_;

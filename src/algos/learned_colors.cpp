@@ -1,0 +1,93 @@
+#include "algos/learned_colors.h"
+
+#include "support/epoch_marks.h"
+
+namespace fdlsp {
+
+namespace {
+
+/// Scratch of one breadth-first walk to depth 2: the ball's nodes, v first
+/// and its neighbors next, and marks for N[v] and N²[v].
+struct Ball {
+  std::vector<NodeId> nodes;
+  EpochMarks near;  // N[v]
+  EpochMarks seen;  // N²[v]
+};
+
+/// Calls fn(a) once for every arc in R(v) (see the header). An edge with
+/// both endpoints inside the ball is emitted from its smaller endpoint
+/// only, so no arc is visited twice.
+template <typename Fn>
+void for_each_readable_arc(const ArcView& view, DistMisVariant variant,
+                           NodeId v, Ball& ball, Fn&& fn) {
+  const Graph& graph = view.graph();
+  if (graph.degree(v) == 0) return;
+  ball.nodes.clear();
+  ball.near.begin();
+  ball.seen.begin();
+  ball.nodes.push_back(v);
+  ball.near.mark(v);
+  ball.seen.mark(v);
+  for (const NeighborEntry& entry : graph.neighbors(v)) {
+    ball.nodes.push_back(entry.to);
+    ball.near.mark(entry.to);
+    ball.seen.mark(entry.to);
+  }
+  const std::size_t ring1 = ball.nodes.size();
+  for (std::size_t i = 1; i < ring1; ++i)
+    for (const NeighborEntry& entry : graph.neighbors(ball.nodes[i]))
+      if (ball.seen.mark_if_new(entry.to)) ball.nodes.push_back(entry.to);
+
+  // Every arc with an endpoint in the inner ball: N²[v] for kGbg, N[v] for
+  // kGeneral.
+  const bool gbg = variant == DistMisVariant::kGbg;
+  const EpochMarks& inner = gbg ? ball.seen : ball.near;
+  const std::size_t inner_end = gbg ? ball.nodes.size() : ring1;
+  for (std::size_t i = 0; i < inner_end; ++i) {
+    const NodeId x = ball.nodes[i];
+    for (const NeighborEntry& entry : graph.neighbors(x)) {
+      if (entry.to < x && inner.marked(entry.to)) continue;
+      const ArcId out = view.arc_from(entry.edge, x);
+      fn(out);
+      fn(ArcView::reverse(out));
+    }
+  }
+  if (gbg) return;
+  // kGeneral: the out-arcs of distance-2 nodes not already emitted.
+  for (std::size_t i = ring1; i < ball.nodes.size(); ++i) {
+    const NodeId x = ball.nodes[i];
+    for (const NeighborEntry& entry : graph.neighbors(x))
+      if (!ball.near.marked(entry.to)) fn(view.arc_from(entry.edge, x));
+  }
+}
+
+}  // namespace
+
+LearnedColors::LearnedColors(const ArcView& view, DistMisVariant variant) {
+  const std::size_t n = view.graph().num_nodes();
+  Ball ball;
+  ball.near.reserve(n);
+  ball.seen.reserve(n);
+  // Two walks: the first sizes every region, so the entry array is
+  // allocated once at its final size; the second fills in the keys.
+  offsets_.assign(n + 1, 0);
+  for (NodeId v = 0; v < n; ++v) {
+    std::size_t readable = 0;
+    for_each_readable_arc(view, variant, v, ball, [&](ArcId) { ++readable; });
+    offsets_[v + 1] = offsets_[v] + 2 * readable;
+  }
+  entries_.resize(offsets_[n]);
+  for (NodeId v = 0; v < n; ++v) {
+    const std::size_t begin = offsets_[v];
+    const std::size_t slots = offsets_[v + 1] - begin;
+    for_each_readable_arc(view, variant, v, ball, [&](ArcId a) {
+      std::size_t i = begin + home(a, slots);
+      while (entries_[i].arc != kNoArc)
+        if (++i == begin + slots) i = begin;
+      entries_[i].arc = a;
+    });
+  }
+  retired_.assign(n, 0);
+}
+
+}  // namespace fdlsp

@@ -513,9 +513,24 @@ void SyncEngine::phase_shard(std::size_t s, RunFrame& frame) {
   frame.deltas[s] = delta;
 }
 
+/// Empties the next-round inboxes by rewinding the boxes their dirty
+/// buckets list; the Message elements and their capacities stay alive.
+// fdlsp-lint: hot — per-round steady-state path, no allocator traffic
+void SyncEngine::rewind_next_inboxes() {
+  for (std::vector<NodeId>& bucket : dirty_next_) {
+    for (const NodeId v : bucket) next_count_[v] = 0;
+    bucket.clear();
+  }
+  pending_messages_ = 0;
+}
+
 SyncMetrics SyncEngine::run(std::size_t max_rounds) {
   SyncMetrics metrics;
   const std::size_t n = graph_.num_nodes();
+  // A run starts on a quiet network: a reused engine drops the mail an
+  // earlier run left in flight and counts only this run's messages.
+  rewind_next_inboxes();
+  total_messages_ = 0;
   // Fault path: (crash round, node) ascending; the round loop consumes the
   // due prefix instead of rescanning every node.
   std::vector<std::pair<std::size_t, NodeId>> crashes;
@@ -676,11 +691,7 @@ SyncMetrics SyncEngine::run(std::size_t max_rounds) {
     inbox_.swap(next_inbox_);
     inbox_count_.swap(next_count_);
     dirty_inbox_.swap(dirty_next_);
-    for (std::vector<NodeId>& bucket : dirty_next_) {
-      for (NodeId v : bucket) next_count_[v] = 0;
-      bucket.clear();
-    }
-    pending_messages_ = 0;
+    rewind_next_inboxes();
     wake_runnable(metrics.rounds);
 
     run_step(false);

@@ -294,11 +294,14 @@ class SyncProgramSet {
 
   /// Called once at the start of every run() with the shard count the run
   /// will execute with (1 on the serial path), before any other callback.
-  /// Sets that keep per-shard scratch size it here. A set prepared for one
-  /// shard count must not silently be run at another — per-shard state
-  /// (e.g. learned colors) would be invisible to the new partition — so
-  /// implementations are expected to treat a changed count as a contract
-  /// error once real state exists.
+  /// Sets that keep per-shard scratch size it here. Protocol knowledge
+  /// belongs to nodes, never to shards (DistMIS keeps learned colors in a
+  /// per-node store); what a shard may keep past a round is output its
+  /// nodes produced, such as DistMIS's per-shard assignment lists, which
+  /// its runner collects shard by shard. A set prepared for one shard count
+  /// must not silently be run at another — the new partition would orphan
+  /// that output — so implementations are expected to treat a changed
+  /// count as a contract error once real state exists.
   virtual void prepare_shards(std::size_t shards) { (void)shards; }
 
   /// Executes one round of node v: consume this round's inbox, send next
@@ -345,6 +348,9 @@ class SyncEngine {
   SyncEngine(const Graph& graph, SyncProgramSet& set);
 
   /// Runs until every program reports finished() or the round cap is hit.
+  /// Each run starts with no message in flight and reports only its own
+  /// messages, so one engine can run a set again (mail a previous run left
+  /// undelivered is dropped, never delivered to the next).
   SyncMetrics run(std::size_t max_rounds = 1'000'000);
 
   /// Attaches an event observer (nullptr detaches). With no trace the
@@ -399,6 +405,7 @@ class SyncEngine {
   struct StepCounts;  // what one shard's step changed (sync_engine.cpp)
   struct RunFrame;    // what one run()'s shards share (sync_engine.cpp)
 
+  void rewind_next_inboxes();
   void wake_runnable(std::size_t round);
   void settle(NodeId v, bool finished, std::size_t wake, std::size_t round,
               std::vector<SyncWake>& settled);

@@ -401,8 +401,9 @@ class DigestSet final : public SyncProgramSet {
 TEST(ShardedEngine, EngineReusableAcrossRunsAndShardCounts) {
   // One engine, many runs: a run must leave no residue in the engine —
   // lanes, channel slices, dirty buckets and wake buffers sized for one
-  // shard count are recycled by the next run at any count, and each run's
-  // team is joined before the next one starts.
+  // shard count are recycled by the next run at any count, each run's
+  // team is joined before the next one starts, and each run counts only
+  // its own messages.
   Rng rng(9);
   const Graph graph = generate_gnm(60, 180, rng);
   DigestSet set(graph.num_nodes(), 12);
@@ -415,6 +416,7 @@ TEST(ShardedEngine, EngineReusableAcrossRunsAndShardCounts) {
     engine.set_shards(shards);
     const SyncMetrics metrics = engine.run();
     EXPECT_EQ(metrics.rounds, serial.rounds) << shards << " shards";
+    EXPECT_EQ(metrics.messages, serial.messages) << shards << " shards";
     EXPECT_TRUE(metrics.completed) << shards << " shards";
     EXPECT_EQ(set.digests(), expected) << shards << " shards";
   }

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <iterator>
 #include <vector>
 
 #include "graph/generators.h"
@@ -240,6 +242,47 @@ TEST(SyncEngine, BarrierWaitsForInFlightMessages) {
   const SyncMetrics metrics = engine.run(20);
   EXPECT_TRUE(metrics.completed);
   for (NodeId v = 0; v < 2; ++v) EXPECT_EQ(set.received_[v], 1u);
+}
+
+TEST(SyncEngine, ReusedEngineStartsFromAQuietNetwork) {
+  // Every node of a 6-cycle broadcasts once in round 0 and finishes, so
+  // each run ends with its 12 messages still in flight. Running the set
+  // again on the same engine must count 12 messages again, not a running
+  // total, and must not deliver the earlier run's mail in round 0.
+  class BroadcastOnceSet final : public SyncProgramSet {
+   public:
+    std::size_t size() const override { return 6; }
+    void on_round(NodeId v, SyncContext& ctx,
+                  std::span<const Message> inbox) override {
+      received_ += inbox.size();
+      if (ctx.round() != 0) return;
+      Message message;
+      message.tag = 1;
+      message.data = {static_cast<std::int64_t>(v)};
+      ctx.broadcast(std::move(message));
+      done_[v] = true;
+    }
+    bool ready_for_phase_advance(NodeId) const override { return false; }
+    void on_phase(NodeId, std::size_t) override {}
+    bool finished(NodeId v) const override { return done_[v]; }
+    void reset() {
+      received_ = 0;
+      std::fill(std::begin(done_), std::end(done_), false);
+    }
+    std::size_t received_ = 0;
+    bool done_[6] = {};
+  };
+  const Graph cycle = generate_cycle(6);
+  BroadcastOnceSet set;
+  SyncEngine engine(cycle, set);
+  for (int run = 0; run < 3; ++run) {
+    set.reset();
+    const SyncMetrics metrics = engine.run(20);
+    EXPECT_TRUE(metrics.completed) << "run " << run;
+    EXPECT_EQ(metrics.rounds, 1u) << "run " << run;
+    EXPECT_EQ(metrics.messages, 12u) << "run " << run;
+    EXPECT_EQ(set.received_, 0u) << "run " << run << " inherited mail";
+  }
 }
 
 TEST(SyncEngine, RequiresOneProgramPerNode) {

@@ -15,7 +15,10 @@
 # rows into BENCH_sim.json for bench-compare. "full" swaps in the n=10^6
 # curve at 1/2/4/8 shards (the EXPERIMENTS.md "Shard scaling" table); that
 # scale runs for tens of minutes and is meant for manual reruns on a
-# multi-core box, not CI.
+# multi-core box, not CI. Each scale row runs in a process of its own and
+# is merged into BENCH_sim.json after the rest of the suite, so its
+# peak_rss_mb (getrusage's process-wide high-water mark) is that row's own
+# peak, not the largest of every row run before it.
 #
 # The committed JSON files are the regression references for later PRs:
 # BENCH_coloring.json documents the ConflictIndex speedup; BENCH_sim.json
@@ -42,11 +45,37 @@ cmake --build "${build_dir}" -j --target micro_coloring micro_engines \
   --benchmark_out_format=json \
   --benchmark_format=console
 
-"./${build_dir}/bench/micro_engines" \
+engines="./${build_dir}/bench/micro_engines"
+rows_dir="$(mktemp -d)"
+trap 'rm -rf "${rows_dir}"' EXIT
+"${engines}" \
+  --benchmark_filter=-BM_DistMisUdgSharded \
   --benchmark_min_time="${min_time}" \
-  --benchmark_out=BENCH_sim.json \
+  --benchmark_out="${rows_dir}/suite.json" \
   --benchmark_out_format=json \
   --benchmark_format=console
+row_index=0
+while IFS= read -r row; do
+  row_index=$((row_index + 1))
+  "${engines}" \
+    --benchmark_filter="^${row}\$" \
+    --benchmark_out="${rows_dir}/row${row_index}.json" \
+    --benchmark_out_format=json \
+    --benchmark_format=console < /dev/null
+done < <("${engines}" --benchmark_list_tests=true \
+  --benchmark_filter=BM_DistMisUdgSharded)
+python3 - "${rows_dir}" "${row_index}" BENCH_sim.json <<'PY'
+import json, sys
+rows_dir, rows, out = sys.argv[1], int(sys.argv[2]), sys.argv[3]
+with open(f"{rows_dir}/suite.json") as f:
+    merged = json.load(f)
+for i in range(1, rows + 1):
+    with open(f"{rows_dir}/row{i}.json") as f:
+        merged["benchmarks"] += json.load(f)["benchmarks"]
+with open(out, "w") as f:
+    json.dump(merged, f, indent=2)
+    f.write("\n")
+PY
 
 "./${build_dir}/bench/micro_soak" \
   --benchmark_min_time="${min_time}" \

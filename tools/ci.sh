@@ -49,9 +49,11 @@ run_sanitizer() {  # $1 = preset name (asan-ubsan | tsan)
   # are Debug builds, the only ones where FDLSP_ASSERT's range checks on
   # old-graph lookups are live. So does sync_engine_test: its sleeping-node
   # cases drive the engine's wake bitmap and calendar serially and sharded,
-  # with live asserts and under TSan.
+  # with live asserts and under TSan. And dist_mis_test: its pinned sweep
+  # runs DistMIS serially, at 4 shards and asynchronously with the range
+  # asserts over the learned-color regions live.
   ctest --test-dir "build-${preset}" \
-    -R '^(engine_alloc_test|repair_test|dist_repair_test|sync_engine_test)$' \
+    -R '^(engine_alloc_test|repair_test|dist_repair_test|sync_engine_test|dist_mis_test)$' \
     --output-on-failure
 }
 
