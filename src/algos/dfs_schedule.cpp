@@ -1,17 +1,18 @@
 #include "algos/dfs_schedule.h"
 
+#include <algorithm>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
-#include "coloring/conflict.h"
+#include "algos/learned_colors.h"
 #include "graph/algorithms.h"
 #include "graph/arcs.h"
 #include "sim/reliable.h"
 #include "sim/run_config.h"
 #include "support/check.h"
 #include "support/epoch_marks.h"
-#include "support/flat_hash.h"
 
 namespace fdlsp {
 
@@ -33,12 +34,16 @@ constexpr std::size_t kMaxEvents = 50'000'000;
 
 class DfsProgram final : public AsyncProgram {
  public:
+  /// `colors` is the store every node of one run learns into, each node in
+  /// its own region (kGbg: a DFS node colors all its incident arcs).
   /// `used_colors` is scratch shared by every node of one run: the engine
   /// dispatches one handler at a time, and each use starts a fresh round.
-  DfsProgram(const ArcView& view, EpochMarks& used_colors, NodeId self,
-             bool is_root)
-      : view_(&view), used_colors_(&used_colors), self_(self),
-        is_root_(is_root) {}
+  DfsProgram(const ArcView& view, LearnedColors& colors,
+             EpochMarks& used_colors, NodeId self, bool is_root)
+      : view_(&view), colors_(&colors), used_colors_(&used_colors),
+        self_(self), is_root_(is_root),
+        neighbor_degree_(view.graph().degree(self), 0),
+        visited_(view.graph().degree(self), 0) {}
 
   bool finished() const override { return colored_; }
 
@@ -59,15 +64,18 @@ class DfsProgram final : public AsyncProgram {
     // A malformed message is lost: corruption turns into a drop.
     if (!well_formed(message)) return;
     switch (message.tag) {
-      case kTagDegree:
-        neighbor_degree_[message.from] =
-            static_cast<std::size_t>(message.data[0]);
+      case kTagDegree: {
+        // A repeated announcement overwrites, and counts once.
+        std::size_t& degree = neighbor_degree_[slot(message.from)];
+        if (degree == 0) ++degrees_known_;
+        degree = static_cast<std::size_t>(message.data[0]);
         // Start (root) or resume (buffered token) once local degree
         // knowledge is complete — under random delays the token can outrun
         // a slow degree announcement.
-        if (neighbor_degree_.size() == degree_ && (is_root_ || token_pending_))
+        if (degrees_known_ == degree_ && (is_root_ || token_pending_))
           acquire_token(ctx);
         break;
+      }
       case kTagReq:
         handle_req(ctx, message.from);
         break;
@@ -96,7 +104,7 @@ class DfsProgram final : public AsyncProgram {
         break;
       case kTagToken:
         parent_ = message.from;
-        if (neighbor_degree_.size() == degree_) {
+        if (degrees_known_ == degree_) {
           acquire_token(ctx);
         } else {
           token_pending_ = true;
@@ -160,7 +168,7 @@ class DfsProgram final : public AsyncProgram {
   /// Neighbor `from` holds the token: mark it visited, gather one relay hop
   /// of colors for it.
   void handle_req(AsyncContext& ctx, NodeId from) {
-    visited_[from] = true;
+    visited_[slot(from)] = 1;
     FDLSP_REQUIRE(rep_target_ == kNoNode, "two concurrent token holders");
     rep_target_ = from;
     collected_ = own_pairs();
@@ -184,8 +192,8 @@ class DfsProgram final : public AsyncProgram {
   /// All REPs in: greedily color uncolored incident arcs, broadcast.
   void color_and_announce(AsyncContext& ctx) {
     view_->for_each_incident_arc(self_, [&](ArcId a) {
-      if (knowledge_.contains(a)) return;
-      const Color c = smallest_known_feasible(a);
+      if (colors_->color(self_, a) != kNoColor) return;
+      const Color c = colors_->smallest_known_feasible(self_, a, *used_colors_);
       learn(a, c);
       assignments_.emplace_back(a, c);
     });
@@ -200,54 +208,63 @@ class DfsProgram final : public AsyncProgram {
   /// All ACKs (or a returned token): forward the token to the unvisited
   /// neighbor of maximum degree, or give it back to the parent.
   void advance_token(AsyncContext& ctx) {
-    NodeId next = kNoNode;
-    std::size_t next_degree = 0;
-    for (const NeighborEntry& entry : ctx.neighbors()) {
-      if (visited_[entry.to]) continue;
-      const std::size_t* degree = neighbor_degree_.find(entry.to);
-      FDLSP_REQUIRE(degree != nullptr, "degree not yet known");
-      if (next == kNoNode || *degree > next_degree ||
-          (*degree == next_degree && entry.to < next)) {
-        next = entry.to;
-        next_degree = *degree;
-      }
+    const std::span<const NeighborEntry> neighbors = ctx.neighbors();
+    std::size_t next = neighbors.size();
+    for (std::size_t i = 0; i < neighbors.size(); ++i) {
+      if (visited_[i] != 0) continue;
+      const std::size_t degree = neighbor_degree_[i];
+      FDLSP_REQUIRE(degree != 0, "degree not yet known");
+      // Ascending neighbor ids: a tie keeps the smaller id.
+      if (next == neighbors.size() || degree > neighbor_degree_[next])
+        next = i;
     }
-    if (next != kNoNode) {
-      visited_[next] = true;  // provisional; confirmed by its REQ
-      send_empty(ctx, next, kTagToken);
+    if (next != neighbors.size()) {
+      visited_[next] = 1;  // provisional; confirmed by its REQ
+      send_empty(ctx, neighbors[next].to, kTagToken);
     } else if (parent_ != kNoNode) {
       send_empty(ctx, parent_, kTagTokenBack);
     }
     // Root with no unvisited neighbor: traversal complete.
   }
 
+  /// Position of neighbor u in this node's adjacency list, which is
+  /// sorted by neighbor id.
+  std::size_t slot(NodeId u) const {
+    const std::span<const NeighborEntry> neighbors =
+        view_->graph().neighbors(self_);
+    const auto it = std::lower_bound(
+        neighbors.begin(), neighbors.end(), u,
+        [](const NeighborEntry& entry, NodeId id) { return entry.to < id; });
+    FDLSP_ASSERT(it != neighbors.end() && it->to == u, "not a neighbor");
+    return static_cast<std::size_t>(it - neighbors.begin());
+  }
+
   /// This node's known incident arc colors as a flat [arc, color, ...]
   /// list, outgoing arcs first, then incoming. Cached: learn() marks the
-  /// list stale whenever it changes an incident arc's entry, and only a
-  /// stale list is rebuilt from knowledge_.
+  /// list stale whenever it changes an incident arc's color, and only a
+  /// stale list is rebuilt from the store.
   const SmallPayload& own_pairs() {
     if (!own_pairs_stale_) return own_pairs_;
     own_pairs_.clear();
     view_->for_each_incident_arc(self_, [&](ArcId a) {
-      const Color* color = knowledge_.find(a);
-      if (color == nullptr) return;
+      const Color color = colors_->color(self_, a);
+      if (color == kNoColor) return;
       own_pairs_.push_back(static_cast<std::int64_t>(a));
-      own_pairs_.push_back(static_cast<std::int64_t>(*color));
+      own_pairs_.push_back(static_cast<std::int64_t>(color));
     });
     own_pairs_stale_ = false;
     return own_pairs_;
   }
 
-  /// Records arc a's color (the last write wins). Every write to
-  /// knowledge_ comes through here, so marking the own-pairs list stale
-  /// when an incident arc's entry changes keeps the cache exact.
+  /// Records arc a's color (the last write wins; the store drops arcs this
+  /// node never reads). Every write to this node's region comes through
+  /// here, so marking the own-pairs list stale when an incident arc's
+  /// color changes keeps the cache exact.
   void learn(ArcId a, Color c) {
-    const std::size_t known = knowledge_.size();
-    Color& entry = knowledge_[a];
-    if (knowledge_.size() == known && entry == c) return;
-    entry = c;
-    if (view_->tail(a) == self_ || view_->head(a) == self_)
+    if ((view_->tail(a) == self_ || view_->head(a) == self_) &&
+        colors_->color(self_, a) != c)
       own_pairs_stale_ = true;
+    colors_->learn(self_, a, c);
   }
 
   void absorb_pairs(const Message& message) {
@@ -276,28 +293,17 @@ class DfsProgram final : public AsyncProgram {
     ctx.send(to, std::move(message));
   }
 
-  /// Smallest color not used by any known-colored conflicting arc: one
-  /// sweep over the shared epoch marks, no per-call container.
-  Color smallest_known_feasible(ArcId a) const {
-    used_colors_->begin();
-    for_each_conflicting_arc(*view_, a, [&](ArcId b) {
-      const Color* color = knowledge_.find(b);
-      if (color != nullptr)
-        used_colors_->mark(static_cast<std::size_t>(*color));
-    });
-    return static_cast<Color>(used_colors_->first_unmarked());
-  }
-
   const ArcView* view_;
+  LearnedColors* colors_;
   EpochMarks* used_colors_;
   NodeId self_;
   bool is_root_;
   std::size_t degree_ = 0;
 
-  // Point-access only (no observed ordering): flat hashes keep the
-  // per-message cost allocation-free — see support/flat_hash.h.
-  FlatHashMap<NodeId, std::size_t> neighbor_degree_;
-  FlatHashMap<NodeId, bool> visited_;
+  // Indexed by position in the adjacency list (see slot()).
+  std::vector<std::size_t> neighbor_degree_;  // 0: not yet announced
+  std::vector<char> visited_;
+  std::size_t degrees_known_ = 0;
   NodeId parent_ = kNoNode;
   bool colored_ = false;
   bool token_pending_ = false;
@@ -308,7 +314,6 @@ class DfsProgram final : public AsyncProgram {
   NodeId rep_target_ = kNoNode;
   SmallPayload collected_;  // REP under construction; keeps its capacity
 
-  FlatHashMap<ArcId, Color> knowledge_;
   SmallPayload own_pairs_;  // see own_pairs()
   bool own_pairs_stale_ = true;
   std::vector<std::pair<ArcId, Color>> assignments_;
@@ -329,12 +334,13 @@ ScheduleResult run_dfs_schedule(const Graph& graph, const DfsOptions& options) {
   FDLSP_REQUIRE(root < graph.num_nodes(), "root out of range");
 
   const ArcView view(graph);
+  LearnedColors colors(view, DistMisVariant::kGbg);
   EpochMarks used_colors;
   std::vector<std::unique_ptr<AsyncProgram>> programs;
   programs.reserve(graph.num_nodes());
   for (NodeId v = 0; v < graph.num_nodes(); ++v)
-    programs.push_back(
-        std::make_unique<DfsProgram>(view, used_colors, v, v == root));
+    programs.push_back(std::make_unique<DfsProgram>(view, colors, used_colors,
+                                                    v, v == root));
   const FaultSpec spec = options.fault_spec();
   if (options.reliable) wrap_reliable(programs, spec);
   AsyncEngine engine(graph, std::move(programs), options.delay_model,

@@ -9,11 +9,17 @@
 //   Phase 0 (5 rounds): every node floods its out-arc colors to distance 2;
 //     each tail deterministically identifies its *losing* arcs (a colored
 //     arc loses if it conflicts with an equally-colored arc of smaller
-//     ArcId under the initial snapshot), clears them, and floods the
+//     ArcId under the initial colors), clears them, and floods the
 //     clear-set so distance-2 knowledge stays consistent.
-//   Phase 1: nodes with uncolored out-arcs run DistMIS-style distance-2
-//     competitions (blocks of 5 rounds); block winners greedily color their
-//     dirty out-arcs against their knowledge and flood the assignment.
+//   Phase 1: nodes with uncolored out-arcs run DistMIS's competition block
+//     in its general configuration (algos/competition.h: distance-2
+//     floods, blocks of 5 rounds); block winners greedily color their
+//     dirty out-arcs against what they learned and flood the assignment.
+//
+// Every node keeps what it learns in one LearnedColors store
+// (algos/learned_colors.h) over its kGeneral readable arcs, which is
+// exactly the set both phases read. Malformed messages are dropped, so an
+// unhardened run under corruption ends in a verdict instead of aborting.
 //
 // The repair cost a deployment pays is localized: only nodes within
 // distance ~2 of a change send competition traffic; everyone else just

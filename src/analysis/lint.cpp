@@ -24,7 +24,8 @@ constexpr LintRuleInfo kRules[] = {
      "map/set keyed on a pointer type orders by address, which varies across "
      "runs (ASLR); key on stable ids instead"},
     {"cross-node-state",
-     "inside SyncProgramSet/AsyncProgram classes: naming an engine or "
+     "inside SyncProgramSet/AsyncProgram classes, or code annotated as "
+     "node-program code with the 'program' directive: naming an engine or "
      "calling .program()/->program() reads peer state outside the message "
      "API"},
     {"ordered-in-protocol-state",
@@ -171,6 +172,7 @@ void split_rule_list(std::string_view list, std::vector<std::string>& out) {
 constexpr std::string_view kDirective = "fdlsp-lint:";
 constexpr std::string_view kAllowKeyword = "allow(";
 constexpr std::string_view kHotKeyword = "hot";
+constexpr std::string_view kProgramKeyword = "program";
 
 /// Parses one raw line for an allow(...) directive. Returns true and fills
 /// `names` (rule-name-shaped operands only) and `directive_span` (the byte
@@ -269,27 +271,29 @@ std::vector<char> program_regions(const std::vector<std::string_view>& lines) {
   return in_region;
 }
 
-/// True when the raw line carries a `hot` annotation directive.
-bool is_hot_directive(std::string_view raw_line) {
+/// True when the raw line carries the annotation directive `keyword`.
+bool is_directive(std::string_view raw_line, std::string_view keyword) {
   const std::size_t pos = raw_line.find(kDirective);
   if (pos == std::string_view::npos) return false;
   const std::size_t cursor = skip_spaces(raw_line, pos + kDirective.size());
-  return find_token(raw_line, kHotKeyword, cursor) == cursor;
+  return find_token(raw_line, keyword, cursor) == cursor;
 }
 
-/// Marks the lines of each function body annotated with a `hot` directive:
-/// from the line after the directive through the close of the next brace
-/// balance. A declaration with no body (`;` before any `{`) ends the region
-/// immediately, so annotating a prototype is harmless.
-std::vector<char> hot_regions(const std::vector<std::string_view>& raw_lines,
-                              const std::vector<std::string_view>& lines) {
-  std::vector<char> hot(lines.size(), 0);
+/// Marks in `region` the lines of each body annotated with a `keyword`
+/// directive (`hot`: a function; `program`: node-program code outside a
+/// program class): from the line after the directive through the close of
+/// the next brace balance. A declaration with no body (`;` before any `{`)
+/// ends the region immediately, so annotating a prototype is harmless.
+void mark_directive_regions(const std::vector<std::string_view>& raw_lines,
+                            const std::vector<std::string_view>& lines,
+                            std::string_view keyword,
+                            std::vector<char>& region) {
   for (std::size_t i = 0; i < raw_lines.size(); ++i) {
-    if (!is_hot_directive(raw_lines[i])) continue;
+    if (!is_directive(raw_lines[i], keyword)) continue;
     int depth = 0;
     bool started = false;
     for (std::size_t j = i + 1; j < lines.size(); ++j) {
-      hot[j] = 1;
+      region[j] = 1;
       bool ended = false;
       for (const char c : lines[j]) {
         if (c == '{') {
@@ -308,7 +312,6 @@ std::vector<char> hot_regions(const std::vector<std::string_view>& raw_lines,
       if (ended) break;
     }
   }
-  return hot;
 }
 
 /// Count of alphabetic characters in `line` outside [skip_begin, skip_end)
@@ -480,8 +483,10 @@ std::vector<LintDiagnostic> lint_source(std::string_view path,
   const std::vector<std::string_view> lines = split_lines(sanitized);
   const bool deterministic = lint_deterministic_path(path);
   const bool protocol_state = lint_protocol_state_path(path);
-  const std::vector<char> in_program = program_regions(lines);
-  const std::vector<char> in_hot = hot_regions(raw_lines, lines);
+  std::vector<char> in_program = program_regions(lines);
+  mark_directive_regions(raw_lines, lines, kProgramKeyword, in_program);
+  std::vector<char> in_hot(lines.size(), 0);
+  mark_directive_regions(raw_lines, lines, kHotKeyword, in_hot);
 
   std::vector<LintDiagnostic> diagnostics;
   const auto emit = [&](std::size_t line_index, std::string_view rule,

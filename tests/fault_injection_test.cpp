@@ -349,6 +349,39 @@ TEST(FaultInjectionTest, UnhardenedRandomizedLeavesFaultConflictsToOracles) {
       {SchedulerKind::kRandomized}, lossy);
 }
 
+// Unhardened distributed repair likewise treats a corrupted tag, length,
+// origin, TTL, block, arc or color as a lost message: the run returns its
+// outcome for the oracles to judge (it used to die on a corrupted block
+// counter or an unknown tag).
+TEST(FaultInjectionTest, UnhardenedRepairTreatsMalformedMessagesAsLost) {
+  const FaultSpec spec = parse_fault_spec("corrupt=0.05,fseed=7");
+  std::size_t corrupted = 0;
+  std::size_t judged = 0;
+  for (const GraphFamily family : kAllFamilies) {
+    for (const std::size_t n : {12u, 50u}) {
+      for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        Scenario scenario;
+        scenario.family = family;
+        scenario.n = n;
+        scenario.density = 0.4;
+        scenario.seed = seed;
+        const Graph graph = materialize(scenario);
+        const ArcView view(graph);
+        DistRepairResult result;
+        ASSERT_NO_THROW(result = run_distributed_repair(
+                            graph, ArcColoring(view.num_arcs()), seed,
+                            {.faults = &spec}))
+            << fault_repro_command(scenario, "dist_repair", spec);
+        EXPECT_EQ(result.coloring.num_arcs(), view.num_arcs());
+        corrupted += result.faults.corrupted;
+        ++judged;
+      }
+    }
+  }
+  EXPECT_EQ(judged, 36u);
+  EXPECT_GT(corrupted, 0u) << "the plan never corrupted a message";
+}
+
 // Crash-recovery workflow: crash/churn plans orphan part of a clean
 // schedule; dist_repair must restore feasibility while touching only the
 // distance-2 neighborhood of the faulted region.

@@ -208,6 +208,35 @@ TEST(LintCrossNodeState, ForwardDeclarationOpensNoRegion) {
   EXPECT_TRUE(diagnostics.empty());
 }
 
+// A protocol kernel outside any program class that names an engine and
+// reads a peer program. Annotated as program code, the way
+// algos/competition.h is, both lines are flagged as inside a program
+// class; the same names after its body are not.
+constexpr const char* kPeekingKernel =
+    "class Kernel {\n"
+    " public:\n"
+    "  void step(NodeId v) {\n"
+    "    auto& peer = engine_->program(v + 1);\n"
+    "  }\n"
+    "  SyncEngine* engine_;\n"
+    "};\n"
+    "SyncEngine* driver_engine;\n";
+
+TEST(LintCrossNodeState, FiresInsideAnnotatedKernels) {
+  const std::string annotated =
+      std::string("// fdlsp-lint: program — node code a set delegates to\n") +
+      kPeekingKernel;
+  const auto diagnostics = lint_source(kDetPath, annotated);
+  const auto rules = rules_fired(diagnostics);
+  ASSERT_EQ(rules.size(), 2u);
+  EXPECT_EQ(rules[0], "cross-node-state");  // ->program( call, line 5
+  EXPECT_EQ(diagnostics[0].line, 5u);
+  EXPECT_EQ(rules[1], "cross-node-state");  // SyncEngine member, line 7
+  EXPECT_EQ(diagnostics[1].line, 7u);
+  // Without the annotation the kernel is ordinary code.
+  EXPECT_TRUE(lint_source(kDetPath, kPeekingKernel).empty());
+}
+
 TEST(LintAllow, SuppressesExactlyTheNamedRule) {
   const std::string snippet =
       "// Lookup-only cache, never iterated.\n"

@@ -49,11 +49,13 @@ run_sanitizer() {  # $1 = preset name (asan-ubsan | tsan)
   # are Debug builds, the only ones where FDLSP_ASSERT's range checks on
   # old-graph lookups are live. So does sync_engine_test: its sleeping-node
   # cases drive the engine's wake bitmap and calendar serially and sharded,
-  # with live asserts and under TSan. And dist_mis_test: its pinned sweep
-  # runs DistMIS serially, at 4 shards and asynchronously with the range
-  # asserts over the learned-color regions live.
+  # with live asserts and under TSan. And dist_mis_test and
+  # dfs_schedule_test: their pinned sweeps run DistMIS (serially, at 4
+  # shards and asynchronously) and DFS with the range asserts over the
+  # learned-color regions live; dist_repair_test's pin does the same for
+  # repair.
   ctest --test-dir "build-${preset}" \
-    -R '^(engine_alloc_test|repair_test|dist_repair_test|sync_engine_test|dist_mis_test)$' \
+    -R '^(engine_alloc_test|repair_test|dist_repair_test|sync_engine_test|dist_mis_test|dfs_schedule_test)$' \
     --output-on-failure
 }
 
@@ -64,10 +66,11 @@ run_sanitizer() {  # $1 = preset name (asan-ubsan | tsan)
 # outage, runs a soak whose every distributed repair is hardened by the
 # synchronous wrapper under bursty loss, requires unhardened DistMIS, DFS
 # and randomized under corruption to reach a fault-quiescence verdict
-# instead of aborting (exit status 2), and checks that a retired flag,
-# and flags the run would ignore (--shards without --faults, and --shards
-# on DFS, whose asynchronous engine does not shard), are rejected, not
-# ignored.
+# instead of aborting (exit status 2), requires the same of a soak of
+# unhardened distributed repairs under corruption, and checks that a
+# retired flag, and flags the run would ignore (--shards without --faults,
+# and --shards on DFS, whose asynchronous engine does not shard), are
+# rejected, not ignored.
 replay_smoke() {
   local replay="$1"
   local burst_smoke=(--family=grid --n=12 --density=0.5 --seed=5
@@ -94,6 +97,17 @@ replay_smoke() {
   if [ "${status}" -eq 2 ] ||
     ! grep -q '^fault-quiescence: ' <<< "${unhardened}"; then
     echo "unhardened DistMIS under corruption did not reach a verdict"
+    return 1
+  fi
+  # So does a soak of unhardened distributed repairs under corruption: the
+  # soak oracles judge every repair instead of the run aborting.
+  status=0
+  unhardened="$("${replay}" --soak=seed=3,n=50,events=50 --distributed=1 \
+    --faults=corrupt=0.05,fseed=7 --reliable=0 2>&1)" || status=$?
+  echo "${unhardened}"
+  if [ "${status}" -eq 2 ] ||
+    ! grep -q '^soak oracles: ' <<< "${unhardened}"; then
+    echo "unhardened distributed repair under corruption did not reach a verdict"
     return 1
   fi
   # The same holds for unhardened DFS and randomized.
