@@ -63,10 +63,8 @@ class RandomizedSet final : public SyncProgramSet {
     rng_.reserve(n);
     for (std::size_t v = 0; v < n; ++v) rng_.emplace_back(seeder());
     out_offsets_.assign(n + 1, 0);
-    for (NodeId v = 0; v < n; ++v) {
-      out_offsets_[v + 1] =
-          out_offsets_[v] + view_.out_arcs(v).size();
-    }
+    for (NodeId v = 0; v < n; ++v)
+      out_offsets_[v + 1] = out_offsets_[v] + graph.degree(v);
     out_.resize(out_offsets_[n]);
     rev_.resize(out_offsets_[n]);
     base_range_.assign(n, 2);
@@ -75,11 +73,11 @@ class RandomizedSet final : public SyncProgramSet {
     remembered_.resize(n);
     for (NodeId v = 0; v < n; ++v) {
       std::size_t pos = out_offsets_[v];
-      for (ArcId a : view_.out_arcs(v)) {
+      view_.for_each_out_arc(v, [&](ArcId a) {
         out_[pos] = OutArc{a};
         rev_[pos] = ArcView::reverse(a);
         ++pos;
-      }
+      });
       base_range_[v] = 2 * graph.degree(v) + 2;
       done_[v] = out_offsets_[v + 1] == out_offsets_[v] ? 1 : 0;
       announced_[v] = done_[v];

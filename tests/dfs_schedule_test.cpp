@@ -13,6 +13,8 @@
 #include "support/rng.h"
 #include "verify/scenario.h"
 
+#include "fnv64.h"
+
 namespace fdlsp {
 namespace {
 
@@ -129,21 +131,6 @@ TEST(DfsSchedule, RejectsDisconnectedGraphs) {
   builder.add_edge(2, 3);
   EXPECT_THROW(run_dfs_schedule(builder.build()), contract_error);
 }
-
-/// FNV-1a over 64-bit words, byte by byte.
-class Fnv64 {
- public:
-  void add(std::uint64_t word) {
-    for (int byte = 0; byte < 8; ++byte) {
-      hash_ ^= (word >> (8 * byte)) & 0xffU;
-      hash_ *= 0x100000001b3ULL;
-    }
-  }
-  std::uint64_t value() const { return hash_; }
-
- private:
-  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
-};
 
 TEST(DfsSchedule, ExactOutputsArePinned) {
   // The other cases check feasibility and bounds only. This one pins DFS's

@@ -18,6 +18,8 @@
 #include "support/rng.h"
 #include "verify/scenario.h"
 
+#include "fnv64.h"
+
 namespace fdlsp {
 namespace {
 
@@ -176,9 +178,13 @@ std::vector<Instance> family_instances() {
 /// outgoing ones for kGeneral.
 std::vector<ArcId> own_arcs(const ArcView& view, DistMisVariant variant,
                             NodeId v) {
-  std::vector<ArcId> arcs = view.out_arcs(v);
-  if (variant == DistMisVariant::kGbg)
-    for (const ArcId a : view.in_arcs(v)) arcs.push_back(a);
+  std::vector<ArcId> arcs;
+  const auto add = [&](ArcId a) { arcs.push_back(a); };
+  if (variant == DistMisVariant::kGbg) {
+    view.for_each_incident_arc(v, add);
+  } else {
+    view.for_each_out_arc(v, add);
+  }
   return arcs;
 }
 
@@ -277,21 +283,6 @@ INSTANTIATE_TEST_SUITE_P(BothVariants, LearnedColorsTest,
                                       ? "Gbg"
                                       : "General";
                          });
-
-/// FNV-1a over 64-bit words, byte by byte.
-class Fnv64 {
- public:
-  void add(std::uint64_t word) {
-    for (int byte = 0; byte < 8; ++byte) {
-      hash_ ^= (word >> (8 * byte)) & 0xffU;
-      hash_ *= 0x100000001b3ULL;
-    }
-  }
-  std::uint64_t value() const { return hash_; }
-
- private:
-  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
-};
 
 /// How one pinned DistMIS sweep runs its instances.
 enum class PinnedMode {
