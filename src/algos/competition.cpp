@@ -9,13 +9,14 @@ namespace fdlsp {
 
 // fdlsp-lint: program
 Competition::Competition(const ArcView& view, DistMisVariant variant,
-                         std::uint64_t seed, std::size_t color_span)
+                         std::uint64_t seed, std::size_t color_span,
+                         std::span<const char> holders)
     : view_(view),
       flood_radius_(variant == DistMisVariant::kGbg ? 3 : 2),
       block_length_(2 * flood_radius_ + 1),
       color_bound_(std::max(view.num_arcs(), color_span)),
       colors_incident_(variant == DistMisVariant::kGbg),
-      colors_(view, variant) {
+      colors_(view, variant, holders) {
   const std::size_t n = view.graph().num_nodes();
   Rng seeder(seed);
   rng_.reserve(n);

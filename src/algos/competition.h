@@ -22,6 +22,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -47,11 +48,14 @@ inline constexpr std::int32_t kTagCompWin = 4;    // [origin, block, ttl, arc,
 class Competition {
  public:
   /// State for every node: random streams drawn in node order from one
-  /// sequence seeded with `seed`, and an uncolored store for `variant`.
-  /// The greedy's colors stay below the arc count; an owner that floods
-  /// colors from outside the run (repair's stale ones) passes their span.
+  /// sequence seeded with `seed`, and an uncolored store for `variant`
+  /// with regions for `holders` (every node when empty; see
+  /// LearnedColors). The greedy's colors stay below the arc count; an
+  /// owner that floods colors from outside the run (repair's stale ones)
+  /// passes their span.
   Competition(const ArcView& view, DistMisVariant variant,
-              std::uint64_t seed, std::size_t color_span = 0);
+              std::uint64_t seed, std::size_t color_span = 0,
+              std::span<const char> holders = {});
 
   /// Sizes per-shard scratch. It refuses a second shard count: a new
   /// partition would orphan the wins in each shard's assignment list.

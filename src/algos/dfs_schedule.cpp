@@ -43,7 +43,7 @@ class DfsProgram final : public AsyncProgram {
       : view_(&view), colors_(&colors), used_colors_(&used_colors),
         self_(self), is_root_(is_root),
         neighbor_degree_(view.graph().degree(self), 0),
-        visited_(view.graph().degree(self), 0) {}
+        link_(view.graph().degree(self), 0) {}
 
   bool finished() const override { return colored_; }
 
@@ -61,35 +61,44 @@ class DfsProgram final : public AsyncProgram {
   }
 
   void on_message(AsyncContext& ctx, Message& message) override {
-    // A malformed message is lost: corruption turns into a drop.
+    // A malformed message is lost: corruption turns into a drop. So is a
+    // repeat (see first_from): only a duplicating plan delivers one.
     if (!well_formed(message)) return;
     switch (message.tag) {
       case kTagDegree: {
         // A repeated announcement overwrites, and counts once.
         std::size_t& degree = neighbor_degree_[slot(message.from)];
-        if (degree == 0) ++degrees_known_;
+        const bool first = degree == 0;
+        if (first) ++degrees_known_;
         degree = static_cast<std::size_t>(message.data[0]);
         // Start (root) or resume (buffered token) once local degree
         // knowledge is complete — under random delays the token can outrun
         // a slow degree announcement.
-        if (degrees_known_ == degree_ && (is_root_ || token_pending_))
+        if (first && degrees_known_ == degree_ && (is_root_ || token_pending_))
           acquire_token(ctx);
         break;
       }
       case kTagReq:
-        handle_req(ctx, message.from);
+        if (first_from(message.from, kReqHeard)) handle_req(ctx, message.from);
         break;
       case kTagSubReq:
         send_pairs(ctx, message.from, kTagSubRep, own_pairs());
         break;
-      case kTagSubRep:
+      case kTagSubRep: {
+        // Due once per SubReq sent; a repeated SubReq's second reply finds
+        // the bit cleared.
+        std::uint8_t& link = link_[slot(message.from)];
+        if ((link & kSubRepDue) == 0) break;
+        link = static_cast<std::uint8_t>(link & ~kSubRepDue);
         absorb_pairs(message);
         FDLSP_REQUIRE(pending_subreps_ > 0, "unexpected SubRep");
         collected_.insert(collected_.end(), message.data.begin(),
                           message.data.end());
         if (--pending_subreps_ == 0) finish_rep(ctx);
         break;
+      }
       case kTagRep:
+        if (!first_from(message.from, kRepHeard)) break;
         absorb_pairs(message);
         FDLSP_REQUIRE(pending_reps_ > 0, "unexpected Rep");
         if (--pending_reps_ == 0) color_and_announce(ctx);
@@ -99,10 +108,12 @@ class DfsProgram final : public AsyncProgram {
         send_empty(ctx, message.from, kTagAck);
         break;
       case kTagAck:
+        if (!first_from(message.from, kAckHeard)) break;
         FDLSP_REQUIRE(pending_acks_ > 0, "unexpected Ack");
         if (--pending_acks_ == 0) advance_token(ctx);
         break;
       case kTagToken:
+        if (parent_ == message.from) break;  // the parent sends it once
         parent_ = message.from;
         if (degrees_known_ == degree_) {
           acquire_token(ctx);
@@ -111,7 +122,7 @@ class DfsProgram final : public AsyncProgram {
         }
         break;
       case kTagTokenBack:
-        advance_token(ctx);
+        if (first_from(message.from, kTokenBackHeard)) advance_token(ctx);
         break;
     }
   }
@@ -168,7 +179,7 @@ class DfsProgram final : public AsyncProgram {
   /// Neighbor `from` holds the token: mark it visited, gather one relay hop
   /// of colors for it.
   void handle_req(AsyncContext& ctx, NodeId from) {
-    visited_[slot(from)] = 1;
+    link_[slot(from)] |= kVisited;
     FDLSP_REQUIRE(rep_target_ == kNoNode, "two concurrent token holders");
     rep_target_ = from;
     collected_ = own_pairs();
@@ -177,8 +188,12 @@ class DfsProgram final : public AsyncProgram {
       finish_rep(ctx);
       return;
     }
-    for (const NeighborEntry& entry : ctx.neighbors())
-      if (entry.to != from) send_empty(ctx, entry.to, kTagSubReq);
+    const std::span<const NeighborEntry> neighbors = ctx.neighbors();
+    for (std::size_t i = 0; i < neighbors.size(); ++i) {
+      if (neighbors[i].to == from) continue;
+      link_[i] |= kSubRepDue;
+      send_empty(ctx, neighbors[i].to, kTagSubReq);
+    }
   }
 
   /// All sub-replies in: send the aggregated REP to the token holder.
@@ -211,7 +226,7 @@ class DfsProgram final : public AsyncProgram {
     const std::span<const NeighborEntry> neighbors = ctx.neighbors();
     std::size_t next = neighbors.size();
     for (std::size_t i = 0; i < neighbors.size(); ++i) {
-      if (visited_[i] != 0) continue;
+      if ((link_[i] & kVisited) != 0) continue;
       const std::size_t degree = neighbor_degree_[i];
       FDLSP_REQUIRE(degree != 0, "degree not yet known");
       // Ascending neighbor ids: a tie keeps the smaller id.
@@ -219,12 +234,23 @@ class DfsProgram final : public AsyncProgram {
         next = i;
     }
     if (next != neighbors.size()) {
-      visited_[next] = 1;  // provisional; confirmed by its REQ
+      link_[next] |= kVisited;  // provisional; confirmed by its REQ
       send_empty(ctx, neighbors[next].to, kTagToken);
     } else if (parent_ != kNoNode) {
       send_empty(ctx, parent_, kTagTokenBack);
     }
     // Root with no unvisited neighbor: traversal complete.
+  }
+
+  /// True the first time neighbor `from` sends what `bit` records; sets
+  /// it. A REQ, REP, Ack or TokenBack legitimately comes at most once per
+  /// neighbor and run: each node holds the token once, colors once and
+  /// returns the token once.
+  bool first_from(NodeId from, std::uint8_t bit) {
+    std::uint8_t& link = link_[slot(from)];
+    if ((link & bit) != 0) return false;
+    link = static_cast<std::uint8_t>(link | bit);
+    return true;
   }
 
   /// Position of neighbor u in this node's adjacency list, which is
@@ -300,9 +326,17 @@ class DfsProgram final : public AsyncProgram {
   bool is_root_;
   std::size_t degree_ = 0;
 
+  // What a node knows per neighbor: bits of link_.
+  static constexpr std::uint8_t kVisited = 1;  // held or is getting the token
+  static constexpr std::uint8_t kReqHeard = 2;
+  static constexpr std::uint8_t kRepHeard = 4;
+  static constexpr std::uint8_t kSubRepDue = 8;  // a SubReq awaits its reply
+  static constexpr std::uint8_t kAckHeard = 16;
+  static constexpr std::uint8_t kTokenBackHeard = 32;
+
   // Indexed by position in the adjacency list (see slot()).
   std::vector<std::size_t> neighbor_degree_;  // 0: not yet announced
-  std::vector<char> visited_;
+  std::vector<std::uint8_t> link_;
   std::size_t degrees_known_ = 0;
   NodeId parent_ = kNoNode;
   bool colored_ = false;

@@ -63,9 +63,12 @@ void for_each_readable_arc(const ArcView& view, DistMisVariant variant,
 
 }  // namespace
 
-LearnedColors::LearnedColors(const ArcView& view, DistMisVariant variant)
+LearnedColors::LearnedColors(const ArcView& view, DistMisVariant variant,
+                             std::span<const char> holders)
     : view_(view) {
   const std::size_t n = view.graph().num_nodes();
+  FDLSP_REQUIRE(holders.empty() || holders.size() == n,
+                "holder mask does not match the graph");
   Ball ball;
   ball.near.reserve(n);
   ball.seen.reserve(n);
@@ -73,6 +76,7 @@ LearnedColors::LearnedColors(const ArcView& view, DistMisVariant variant)
   // once at its final size; the second fills in the keys.
   std::vector<std::size_t> slots(n);
   for (NodeId v = 0; v < n; ++v) {
+    if (!holders.empty() && holders[v] == 0) continue;
     for_each_readable_arc(view, variant, v, ball, [&](ArcId) { ++slots[v]; });
     slots[v] *= 2;
     capacity_ += slots[v];
@@ -88,6 +92,7 @@ LearnedColors::LearnedColors(const ArcView& view, DistMisVariant variant)
   }
   for (NodeId v = 0; v < n; ++v) {
     const std::span<Entry> region = regions_[v];
+    if (region.empty()) continue;
     for_each_readable_arc(view, variant, v, ball, [&](ArcId a) {
       std::size_t i = home(a, region.size());
       while (region[i].arc != kNoArc)

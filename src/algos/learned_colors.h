@@ -14,7 +14,9 @@
 // plus those arcs, so a breadth-first walk to depth 2 builds R(v) without
 // enumerating conflicts.
 //
-// LearnedColors is built once from the graph, before the protocol runs.
+// LearnedColors is built once from the graph, before the protocol runs,
+// for every node or only for a holder mask (event-local repair gives
+// regions to its wake ball only; every other node reads nothing).
 // Node v owns an open-addressed region of 8-byte (arc, color) entries
 // holding the keys of R(v), sized exactly from |R(v)| at load 1/2, so a
 // lookup is O(1) and nothing grows while the protocol runs. Regions are
@@ -43,9 +45,11 @@ namespace fdlsp {
 
 class LearnedColors {
  public:
-  /// Builds every node's region of readable arcs, all uncolored. The
-  /// graph must outlive the store.
-  LearnedColors(const ArcView& view, DistMisVariant variant);
+  /// Builds the region of readable arcs, all uncolored, of every node v
+  /// with holders[v] != 0, or of every node when `holders` is empty; a
+  /// node without a region reads nothing. The graph must outlive the store.
+  LearnedColors(const ArcView& view, DistMisVariant variant,
+                std::span<const char> holders = {});
 
   // Regions point into the store's own chunks: a copy would point into the
   // source's. A move keeps the chunk buffers, and so the regions.
@@ -53,6 +57,9 @@ class LearnedColors {
   LearnedColors& operator=(const LearnedColors&) = delete;
   LearnedColors(LearnedColors&&) = default;
   LearnedColors& operator=(LearnedColors&&) = default;
+
+  /// True when node v has a region (it holds at least one readable arc).
+  bool holds(NodeId v) const { return !regions_[v].empty(); }
 
   /// Color node v has learned for arc a; kNoColor when v has not learned
   /// one or does not read a.

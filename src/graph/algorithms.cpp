@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <utility>
 
 #include "support/check.h"
 
@@ -115,6 +116,34 @@ std::vector<NodeId> k_hop_neighborhood(const Graph& graph, NodeId v,
   }
   std::sort(result.begin(), result.end());
   return result;
+}
+
+std::vector<char> hop_ball(const Graph& graph,
+                           std::span<const NodeId> sources,
+                           std::size_t radius) {
+  std::vector<char> in_ball(graph.num_nodes(), 0);
+  std::vector<NodeId> frontier;
+  for (const NodeId v : sources) {
+    FDLSP_REQUIRE(v < graph.num_nodes(), "node out of range");
+    if (in_ball[v] == 0) {
+      in_ball[v] = 1;
+      frontier.push_back(v);
+    }
+  }
+  std::vector<NodeId> next;
+  for (std::size_t hop = 0; hop < radius && !frontier.empty(); ++hop) {
+    next.clear();
+    for (const NodeId v : frontier) {
+      for (const NeighborEntry& entry : graph.neighbors(v)) {
+        if (in_ball[entry.to] == 0) {
+          in_ball[entry.to] = 1;
+          next.push_back(entry.to);
+        }
+      }
+    }
+    std::swap(frontier, next);
+  }
+  return in_ball;
 }
 
 std::vector<NodeId> common_neighbors(const Graph& graph, NodeId u, NodeId v) {

@@ -3,6 +3,7 @@
 // algorithms' local views and the Theorem-1 lower bound computation.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "graph/graph.h"
@@ -40,6 +41,14 @@ InducedSubgraph induced_subgraph(const Graph& graph,
 /// in ascending id order.
 std::vector<NodeId> k_hop_neighborhood(const Graph& graph, NodeId v,
                                        std::size_t radius);
+
+/// Flags of the multi-source ball N^radius[sources]: 1 for every node
+/// within `radius` hops of some source, the sources included, else 0. One
+/// breadth-first walk; duplicate sources are fine, and no source gives an
+/// all-zero vector.
+std::vector<char> hop_ball(const Graph& graph,
+                           std::span<const NodeId> sources,
+                           std::size_t radius);
 
 /// Common neighbors of u and v in ascending order (triangle support of the
 /// edge {u, v}). O(deg u + deg v).

@@ -5,6 +5,7 @@
 #include "algos/dist_repair.h"
 #include "algos/repair.h"
 #include "coloring/checker.h"
+#include "graph/algorithms.h"
 #include "support/check.h"
 #include "support/timer.h"
 
@@ -15,42 +16,18 @@ namespace {
 // 0x51–0x59 in topology.cpp — all draws share one soak_hash keyspace).
 constexpr std::uint64_t kStreamEngine = 0x5A;
 
-/// Arcs over edges incident to the distance-2 ball of `touched` (sorted,
-/// deduplicated). A superset of every arc the event's repair may change.
+/// Arcs over edges incident to the distance-2 ball of `touched`, ascending.
+/// A superset of every arc the event's repair may change.
 std::vector<ArcId> dirty_ball_arcs(const Graph& graph,
                                    std::span<const NodeId> touched) {
-  std::vector<char> in_ball(graph.num_nodes(), 0);
-  std::vector<NodeId> frontier;
-  for (const NodeId v : touched) {
-    if (!in_ball[v]) {
-      in_ball[v] = 1;
-      frontier.push_back(v);
-    }
-  }
-  std::vector<NodeId> ball = frontier;
-  std::vector<NodeId> next;
-  for (int hop = 0; hop < 2; ++hop) {
-    next.clear();
-    for (const NodeId v : frontier) {
-      for (const NeighborEntry& entry : graph.neighbors(v)) {
-        if (!in_ball[entry.to]) {
-          in_ball[entry.to] = 1;
-          next.push_back(entry.to);
-        }
-      }
-    }
-    ball.insert(ball.end(), next.begin(), next.end());
-    std::swap(frontier, next);
-  }
+  const std::vector<char> ball = hop_ball(graph, touched, 2);
   std::vector<ArcId> arcs;
-  for (const NodeId v : ball) {
-    for (const NeighborEntry& entry : graph.neighbors(v)) {
-      arcs.push_back(static_cast<ArcId>(entry.edge << 1));
-      arcs.push_back(static_cast<ArcId>((entry.edge << 1) | 1u));
-    }
+  const std::span<const Edge> edges = graph.edges();
+  for (std::size_t e = 0; e < edges.size(); ++e) {
+    if (ball[edges[e].u] == 0 && ball[edges[e].v] == 0) continue;
+    arcs.push_back(static_cast<ArcId>(e << 1));
+    arcs.push_back(static_cast<ArcId>((e << 1) | 1u));
   }
-  std::sort(arcs.begin(), arcs.end());
-  arcs.erase(std::unique(arcs.begin(), arcs.end()), arcs.end());
   return arcs;
 }
 
@@ -147,7 +124,8 @@ SoakDriver::SoakDriver(const SoakSpec& spec, SoakOptions options)
   // Initial schedule: a full recompute over the seed topology. The engine
   // seed index sits past the stream so it collides with no event's seed.
   Scheduled initial =
-      schedule(view, ArcColoring(view.num_arcs()), {}, SoakAction::kRecompute,
+      schedule(view, ArcColoring(view.num_arcs()), {}, {},
+               SoakAction::kRecompute,
                soak_hash(spec_.seed, kStreamEngine, spec_.events));
   coloring_ = std::move(initial.coloring);
   stats_.max_slots = coloring_.color_span();
@@ -156,12 +134,16 @@ SoakDriver::SoakDriver(const SoakSpec& spec, SoakOptions options)
 SoakDriver::Scheduled SoakDriver::schedule(const ArcView& view,
                                            ArcColoring stale,
                                            std::span<const ArcId> ball_arcs,
+                                           std::span<const NodeId> touched,
                                            SoakAction action,
                                            std::uint64_t event_seed) {
   Scheduled out;
   if (options_.distributed) {
-    DistRepairResult dist =
-        run_distributed_repair(view.graph(), stale, event_seed, options_);
+    // A repair wakes the event's neighbourhood only; a recompute starts
+    // from nothing, so it wakes every node.
+    DistRepairResult dist = run_distributed_repair(
+        view.graph(), stale, event_seed, options_, drive_sync_set,
+        action == SoakAction::kRepair ? touched : std::span<const NodeId>{});
     out.coloring = std::move(dist.coloring);
     if (!dist.completed || !out.coloring.complete() ||
         find_violation(view, out.coloring, &*index_).has_value()) {
@@ -261,7 +243,7 @@ const SoakEventRecord& SoakDriver::step(std::uint64_t index) {
                             ? transferred
                             : ArcColoring(view.num_arcs());
     Scheduled scheduled =
-        schedule(view, std::move(stale), ball, record.action,
+        schedule(view, std::move(stale), ball, record.touched, record.action,
                  soak_hash(spec_.seed, kStreamEngine, index));
     record.fallback = scheduled.fallback;
     for (std::size_t a = 0; a < view.num_arcs(); ++a) {

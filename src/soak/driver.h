@@ -16,7 +16,11 @@
 // coloring makes that a distributed recompute), optionally under a fault
 // plan — an incomplete or infeasible faulted run falls back to a
 // centralized repair of whatever the radio produced, which is the
-// crash-recovery story the fault oracles exercise.
+// crash-recovery story the fault oracles exercise. A distributed repair is
+// event-local: it hands the protocol the event's touched nodes, so only
+// their distance-3 wake ball runs it and the rest of the network only
+// relays what reaches it (algos/dist_repair.h); a recompute and the
+// initial schedule wake every node.
 //
 // Everything that lands in the event log is a pure function of the SoakSpec
 // (wall-clock latencies are kept out of the formatted log), so one spec
@@ -143,9 +147,12 @@ class SoakDriver {
     bool fallback = false;
   };
 
-  /// Distributed or centralized rescheduling of `stale` (empty = recompute).
+  /// Distributed or centralized rescheduling of `stale` (empty = recompute)
+  /// after an event that touched `touched`, whose dirty ball holds
+  /// `ball_arcs` (both empty for the initial schedule).
   Scheduled schedule(const ArcView& view, ArcColoring stale,
-                     std::span<const ArcId> ball_arcs, SoakAction action,
+                     std::span<const ArcId> ball_arcs,
+                     std::span<const NodeId> touched, SoakAction action,
                      std::uint64_t event_seed);
 
   SoakSpec spec_;

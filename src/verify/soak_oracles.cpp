@@ -4,38 +4,12 @@
 #include <cstdio>
 
 #include "coloring/checker.h"
+#include "graph/algorithms.h"
 #include "support/check.h"
 #include "support/cli.h"
 
 namespace fdlsp {
 namespace {
-
-/// Flags for the distance-2 node ball of `touched` over `graph`.
-std::vector<char> node_ball(const Graph& graph,
-                            std::span<const NodeId> touched) {
-  std::vector<char> in_ball(graph.num_nodes(), 0);
-  std::vector<NodeId> frontier;
-  for (const NodeId v : touched) {
-    if (!in_ball[v]) {
-      in_ball[v] = 1;
-      frontier.push_back(v);
-    }
-  }
-  std::vector<NodeId> next;
-  for (int hop = 0; hop < 2; ++hop) {
-    next.clear();
-    for (const NodeId v : frontier) {
-      for (const NeighborEntry& entry : graph.neighbors(v)) {
-        if (!in_ball[entry.to]) {
-          in_ball[entry.to] = 1;
-          next.push_back(entry.to);
-        }
-      }
-    }
-    std::swap(frontier, next);
-  }
-  return in_ball;
-}
 
 std::string format_band(double band) {
   char buffer[32];
@@ -111,7 +85,7 @@ SoakVerdict run_soak_with_oracles(const SoakSpec& spec,
     if (oracle_options.check_locality && !faulted && !record.fallback &&
         record.action == SoakAction::kRepair &&
         !record.changed_arcs.empty()) {
-      const std::vector<char> ball = node_ball(d.graph(), record.touched);
+      const std::vector<char> ball = hop_ball(d.graph(), record.touched, 2);
       const ArcView view(d.graph());
       for (const ArcId a : record.changed_arcs) {
         if (!ball[view.tail(a)] && !ball[view.head(a)]) {

@@ -23,12 +23,14 @@
 #include "algos/dist_repair.h"
 #include "algos/scheduler.h"
 #include "coloring/checker.h"
+#include "coloring/greedy.h"
 #include "graph/algorithms.h"
 #include "graph/arcs.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "sim/delay.h"
 #include "sim/fault.h"
+#include "sim/reliable.h"
 #include "support/thread_pool.h"
 #include "verify/differential.h"
 #include "verify/fault_oracles.h"
@@ -266,6 +268,7 @@ void expect_verdicts_under_corruption(
     std::initializer_list<SchedulerKind> kinds, const FaultSpec& spec) {
   std::size_t judged = 0;
   std::size_t corrupted = 0;
+  std::size_t duplicated = 0;
   std::size_t dropped = 0;
   for (const GraphFamily family : families) {
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
@@ -286,6 +289,7 @@ void expect_verdicts_under_corruption(
         const OracleVerdict verdict = check_fault_result(graph, result);
         EXPECT_TRUE(verdict.ok || !verdict.failure.empty()) << repro;
         corrupted += result.faults.corrupted;
+        duplicated += result.faults.duplicated;
         dropped += result.faults.dropped;
         ++judged;
       }
@@ -294,6 +298,8 @@ void expect_verdicts_under_corruption(
   EXPECT_EQ(judged, 3 * families.size() * kinds.size());
   if (spec.corrupt_rate > 0.0)
     EXPECT_GT(corrupted, 0u) << "the plan never corrupted a message";
+  else if (spec.duplicate_rate > 0.0)
+    EXPECT_GT(duplicated, 0u) << "the plan never duplicated a message";
   else
     EXPECT_GT(dropped, 0u) << "the plan never dropped a message";
 }
@@ -313,10 +319,9 @@ TEST(FaultInjectionTest, UnhardenedDistMisTreatsMalformedMessagesAsLost) {
 }
 
 // Unhardened DFS likewise treats a corrupted tag or an out-of-range degree,
-// arc or color as a lost message (it used to die on an unknown tag). The
-// plan injects no duplicates: unhardened DFS still stops at its
-// protocol-state checks when a REQ, SubRep or REP arrives twice, which is
-// a separate defect.
+// arc or color as a lost message (it used to die on an unknown tag), and a
+// repeated REQ, REP, SubRep, Ack, Token or TokenBack as a lost one too (it
+// used to stop at its protocol-state checks when one arrived twice).
 TEST(FaultInjectionTest, UnhardenedDfsTreatsMalformedMessagesAsLost) {
   FaultSpec spec;
   spec.seed = 7;
@@ -325,6 +330,9 @@ TEST(FaultInjectionTest, UnhardenedDfsTreatsMalformedMessagesAsLost) {
   expect_verdicts_under_corruption(
       {GraphFamily::kGrid, GraphFamily::kTree, GraphFamily::kRing},
       {SchedulerKind::kDfs}, spec);
+  expect_verdicts_under_corruption(
+      {GraphFamily::kGrid, GraphFamily::kTree, GraphFamily::kRing},
+      {SchedulerKind::kDfs}, parse_fault_spec("dup=0.2,fseed=9"));
 }
 
 // Unhardened randomized treats a corrupted State triple or Veto arc as a
@@ -352,7 +360,9 @@ TEST(FaultInjectionTest, UnhardenedRandomizedLeavesFaultConflictsToOracles) {
 // Unhardened distributed repair likewise treats a corrupted tag, length,
 // origin, TTL, block, arc or color as a lost message: the run returns its
 // outcome for the oracles to judge (it used to die on a corrupted block
-// counter or an unknown tag).
+// counter or an unknown tag). So does an event-local repair, whose State
+// floods carry the wake budget in their block word: a corrupted budget may
+// wake a node early or late, or reach past the wake ball, where it is lost.
 TEST(FaultInjectionTest, UnhardenedRepairTreatsMalformedMessagesAsLost) {
   const FaultSpec spec = parse_fault_spec("corrupt=0.05,fseed=7");
   std::size_t corrupted = 0;
@@ -375,10 +385,22 @@ TEST(FaultInjectionTest, UnhardenedRepairTreatsMalformedMessagesAsLost) {
         EXPECT_EQ(result.coloring.num_arcs(), view.num_arcs());
         corrupted += result.faults.corrupted;
         ++judged;
+        // Node 0's out-arcs lost their colors, so node 0 alone is touched.
+        ArcColoring stale = greedy_coloring(view);
+        view.for_each_out_arc(0, [&](ArcId a) { stale.clear(a); });
+        const std::vector<NodeId> touched = {0};
+        ASSERT_NO_THROW(result = run_distributed_repair(
+                            graph, stale, seed, {.faults = &spec},
+                            drive_sync_set, touched))
+            << fault_repro_command(scenario, "dist_repair", spec)
+            << " (woken from node 0)";
+        EXPECT_EQ(result.coloring.num_arcs(), view.num_arcs());
+        corrupted += result.faults.corrupted;
+        ++judged;
       }
     }
   }
-  EXPECT_EQ(judged, 36u);
+  EXPECT_EQ(judged, 72u);
   EXPECT_GT(corrupted, 0u) << "the plan never corrupted a message";
 }
 

@@ -110,7 +110,20 @@ replay_smoke() {
     echo "unhardened distributed repair under corruption did not reach a verdict"
     return 1
   fi
-  # The same holds for unhardened DFS and randomized.
+  # Unhardened DFS drops a duplicated REQ, REP, SubRep, Ack, Token or
+  # TokenBack as a repeat: the run ends in a verdict (it exited 2 at "two
+  # concurrent token holders").
+  status=0
+  unhardened="$("${replay}" --family=tree --n=12 --density=0.4 --seed=1 \
+    --scheduler=DFS --faults=dup=0.2,fseed=9 --reliable=0 2>&1)" ||
+    status=$?
+  echo "${unhardened}"
+  if [ "${status}" -eq 2 ] ||
+    ! grep -q '^fault-quiescence: ' <<< "${unhardened}"; then
+    echo "unhardened DFS under duplication did not reach a verdict"
+    return 1
+  fi
+  # The same holds for unhardened DFS and randomized under corruption.
   local scheduler
   for scheduler in DFS randomized; do
     status=0
@@ -142,30 +155,46 @@ replay_smoke() {
   fi
 }
 
-# Sharded soak replay smoke; $1 = the replay binary. With --shards=S every
-# distributed repair runs on S shards of the synchronous engine, one thread
-# each (S=8 is more threads than a small CI host has cores); the stream's
-# events/recolored/slots/oracle lines must match the serial replay (the
-# echoed soak: line and the wall-clock latency: line differ by design).
-soak_replay_smoke() {
-  local replay="$1"
-  local soak=(--soak=seed=3,n=60,events=100 --distributed=1)
+# One soak replay run serially and at each shard count in $2 must print
+# the same events/recolored/slots/oracle lines (the echoed soak: line and
+# the wall-clock latency: line differ by design) and pass the soak
+# oracles; $1 = the replay binary, the remaining arguments = the soak.
+soak_matches_serial() {
+  local replay="$1" counts="$2"
+  shift 2
   local pattern='^(events|recolored|slots|soak oracles):'
   local serial sharded shards
-  serial="$("${replay}" "${soak[@]}" | grep -E "${pattern}")"
-  if [ "$(grep -c . <<< "${serial}")" -ne 4 ]; then
-    echo "serial soak replay printed no stream summary"
+  serial="$("${replay}" "$@" | grep -E "${pattern}")"
+  if [ "$(grep -c . <<< "${serial}")" -ne 4 ] ||
+    ! grep -q '^soak oracles: ok' <<< "${serial}"; then
+    echo "serial soak replay printed no passing stream summary: $*"
+    echo "${serial}"
     return 1
   fi
-  for shards in 4 8; do
-    sharded="$("${replay}" "${soak[@]}" --shards="${shards}" |
+  for shards in ${counts}; do
+    sharded="$("${replay}" "$@" --shards="${shards}" |
       grep -E "${pattern}")"
     if [ "${serial}" != "${sharded}" ]; then
-      echo "sharded soak replay (--shards=${shards}) diverged from serial"
+      echo "sharded soak replay (--shards=${shards}) diverged from serial: $*"
       diff <(echo "${serial}") <(echo "${sharded}") || true
       return 1
     fi
   done
+}
+
+# Sharded soak replay smoke; $1 = the replay binary. With --shards=S every
+# distributed repair runs on S shards of the synchronous engine, one thread
+# each (S=8 is more threads than a small CI host has cores). The second
+# soak has churn-lossy's shape: n=256 at the benchmark's density, every
+# repair event-local and hardened under bursty loss. A fault plan pins the
+# engine to one shard, so there --shards=4 must simply change nothing.
+soak_replay_smoke() {
+  local replay="$1"
+  soak_matches_serial "${replay}" "4 8" \
+    --soak=seed=3,n=60,events=100 --distributed=1
+  soak_matches_serial "${replay}" "4" \
+    --soak=seed=5,n=256,events=64,side=14.4,radius=1 --distributed=1 \
+    --faults=drop=0.02,bp=0.02 --reliable=1
 }
 
 run_faults() {
