@@ -1,6 +1,5 @@
 #include "algos/dfs_schedule.h"
 
-#include <algorithm>
 #include <memory>
 #include <span>
 #include <utility>
@@ -258,11 +257,9 @@ class DfsProgram final : public AsyncProgram {
   std::size_t slot(NodeId u) const {
     const std::span<const NeighborEntry> neighbors =
         view_->graph().neighbors(self_);
-    const auto it = std::lower_bound(
-        neighbors.begin(), neighbors.end(), u,
-        [](const NeighborEntry& entry, NodeId id) { return entry.to < id; });
-    FDLSP_ASSERT(it != neighbors.end() && it->to == u, "not a neighbor");
-    return static_cast<std::size_t>(it - neighbors.begin());
+    const NeighborEntry* entry = find_neighbor(neighbors, u);
+    FDLSP_ASSERT(entry != nullptr, "not a neighbor");
+    return static_cast<std::size_t>(entry - neighbors.data());
   }
 
   /// This node's known incident arc colors as a flat [arc, color, ...]

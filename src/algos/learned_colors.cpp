@@ -47,7 +47,7 @@ void for_each_readable_arc(const ArcView& view, DistMisVariant variant,
     const NodeId x = ball.nodes[i];
     for (const NeighborEntry& entry : graph.neighbors(x)) {
       if (entry.to < x && inner.marked(entry.to)) continue;
-      const ArcId out = view.arc_from(entry.edge, x);
+      const ArcId out = arc_along(x, entry);
       fn(out);
       fn(ArcView::reverse(out));
     }
@@ -57,7 +57,7 @@ void for_each_readable_arc(const ArcView& view, DistMisVariant variant,
   for (std::size_t i = ring1; i < ball.nodes.size(); ++i) {
     const NodeId x = ball.nodes[i];
     for (const NeighborEntry& entry : graph.neighbors(x))
-      if (!ball.near.marked(entry.to)) fn(view.arc_from(entry.edge, x));
+      if (!ball.near.marked(entry.to)) fn(arc_along(x, entry));
   }
 }
 

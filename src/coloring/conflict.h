@@ -31,13 +31,13 @@ void for_each_conflicting_arc(const ArcView& view, ArcId a, Fn&& fn) {
   const Graph& g = view.graph();
   // 1) Arcs incident on the tail or the head (both directions).
   for (const NeighborEntry& entry : g.neighbors(t)) {
-    const ArcId out = view.arc_from(entry.edge, t);
+    const ArcId out = arc_along(t, entry);
     if (out != a) fn(out);
     const ArcId in = ArcView::reverse(out);
     if (in != a) fn(in);
   }
   for (const NeighborEntry& entry : g.neighbors(h)) {
-    const ArcId out = view.arc_from(entry.edge, h);
+    const ArcId out = arc_along(h, entry);
     if (out != a) fn(out);
     const ArcId in = ArcView::reverse(out);
     if (in != a) fn(in);
@@ -47,7 +47,7 @@ void for_each_conflicting_arc(const ArcView& view, ArcId a, Fn&& fn) {
   for (const NeighborEntry& near_head : g.neighbors(h)) {
     const NodeId w = near_head.to;
     for (const NeighborEntry& entry : g.neighbors(w)) {
-      const ArcId out = view.arc_from(entry.edge, w);
+      const ArcId out = arc_along(w, entry);
       if (out != a) fn(out);
     }
   }
@@ -56,7 +56,7 @@ void for_each_conflicting_arc(const ArcView& view, ArcId a, Fn&& fn) {
   for (const NeighborEntry& near_tail : g.neighbors(t)) {
     const NodeId x = near_tail.to;
     for (const NeighborEntry& entry : g.neighbors(x)) {
-      const ArcId in = ArcView::reverse(view.arc_from(entry.edge, x));
+      const ArcId in = ArcView::reverse(arc_along(x, entry));
       if (in != a) fn(in);
     }
   }

@@ -11,6 +11,13 @@
 
 namespace fdlsp {
 
+/// Arc from -> entry.to over the edge of `entry`, an entry of from's
+/// adjacency row. Edges store u < v, so the direction bit is the id
+/// comparison: no Edge load.
+inline ArcId arc_along(NodeId from, const NeighborEntry& entry) noexcept {
+  return static_cast<ArcId>((entry.edge << 1) | (from < entry.to ? 0u : 1u));
+}
+
 /// Read-only arc (bi-directed) view over a Graph. Holds a reference; the
 /// graph must outlive the view.
 class ArcView {
@@ -40,18 +47,10 @@ class ArcView {
   /// Undirected edge carrying arc a.
   static EdgeId edge_of(ArcId a) noexcept { return a >> 1; }
 
-  /// Arc u -> v over edge e; u must be an endpoint of e.
-  ArcId arc_from(EdgeId e, NodeId tail_node) const {
-    const Edge& edge = graph_->edge(e);
-    FDLSP_ASSERT(tail_node == edge.u || tail_node == edge.v,
-                 "tail not an endpoint");
-    return static_cast<ArcId>((e << 1) | (tail_node == edge.u ? 0u : 1u));
-  }
-
   /// Arc u -> v, or kNoArc if {u, v} is not an edge.
   ArcId find_arc(NodeId from, NodeId to) const {
     const EdgeId e = graph_->find_edge(from, to);
-    return e == kNoEdge ? kNoArc : arc_from(e, from);
+    return e == kNoEdge ? kNoArc : arc_along(from, NeighborEntry{to, e});
   }
 
   /// Calls fn(a) for every arc leaving v (v transmits), in v's adjacency
@@ -59,7 +58,7 @@ class ArcView {
   template <typename Fn>
   void for_each_out_arc(NodeId v, Fn&& fn) const {
     for (const NeighborEntry& entry : graph_->neighbors(v))
-      fn(arc_from(entry.edge, v));
+      fn(arc_along(v, entry));
   }
 
   /// Calls fn(a) for every arc incident on v: the outgoing arcs first, then

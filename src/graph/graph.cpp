@@ -15,12 +15,8 @@ EdgeId Graph::find_edge(NodeId u, NodeId v) const {
   FDLSP_ASSERT(u < num_nodes() && v < num_nodes(), "node out of range");
   // Search the smaller adjacency list.
   if (degree(u) > degree(v)) std::swap(u, v);
-  const auto adj = neighbors(u);
-  const auto it = std::lower_bound(
-      adj.begin(), adj.end(), v,
-      [](const NeighborEntry& entry, NodeId target) { return entry.to < target; });
-  if (it != adj.end() && it->to == v) return it->edge;
-  return kNoEdge;
+  const NeighborEntry* entry = find_neighbor(neighbors(u), v);
+  return entry != nullptr ? entry->edge : kNoEdge;
 }
 
 GraphBuilder::GraphBuilder(std::size_t n) : n_(n), pending_(n) {}

@@ -7,6 +7,7 @@
 // trivially safe.
 #pragma once
 
+#include <algorithm>
 #include <span>
 #include <vector>
 
@@ -28,6 +29,17 @@ struct NeighborEntry {
   NodeId to;
   EdgeId edge;
 };
+
+/// The entry of `to` in an adjacency row sorted by neighbor id (a
+/// Graph::neighbors span), or nullptr when `to` is not in it. One binary
+/// search; the engines use it as their "direct neighbors only" check.
+inline const NeighborEntry* find_neighbor(std::span<const NeighborEntry> row,
+                                          NodeId to) {
+  const auto it = std::lower_bound(
+      row.begin(), row.end(), to,
+      [](const NeighborEntry& entry, NodeId node) { return entry.to < node; });
+  return it != row.end() && it->to == to ? &*it : nullptr;
+}
 
 class GraphBuilder;
 

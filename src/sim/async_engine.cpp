@@ -3,19 +3,26 @@
 #include <algorithm>
 #include <utility>
 
+#include "graph/arcs.h"
 #include "support/alloc_audit.h"
 #include "support/check.h"
 
 namespace fdlsp {
 
+const NeighborEntry& AsyncContext::entry_of(NodeId to) const {
+  const NeighborEntry* entry = find_neighbor(neighbors_, to);
+  FDLSP_REQUIRE(entry != nullptr, "nodes may only message direct neighbors");
+  return *entry;
+}
+
 // fdlsp-lint: hot — per-event steady-state path, no allocator traffic
 void AsyncContext::send(NodeId to, Message message) {
   message.from = self_;
-  if (sink_ != nullptr) {
-    (*sink_)(to, message);  // the sink borrows; it copies what it keeps
+  if (sink_ != nullptr) {  // the capture layer validates its own sends
+    (*sink_)(to, message);
     return;
   }
-  engine_->post(self_, to, std::move(message), now_);
+  post(entry_of(to), std::move(message));
 }
 
 // fdlsp-lint: hot — per-event steady-state path, no allocator traffic
@@ -24,7 +31,7 @@ void AsyncContext::send_copy(NodeId to, const Message& message) {
     (*sink_)(to, message);
     return;
   }
-  engine_->post_copy(self_, to, message, now_);
+  post(entry_of(to), message);
 }
 
 // fdlsp-lint: hot — per-event steady-state path, no allocator traffic
@@ -32,26 +39,29 @@ void AsyncContext::send_copy_at(std::size_t neighbor_index,
                                 const Message& message) {
   FDLSP_REQUIRE(neighbor_index < neighbors_.size(),
                 "neighbor index out of range");
-  const NodeId to = neighbors_[neighbor_index].to;
-  if (sink_ != nullptr) {
-    (*sink_)(to, message);
-    return;
-  }
-  engine_->post_copy_resolved(
-      self_, to, engine_->channels_.channel_at(self_, neighbor_index),
-      message, now_);
+  post(neighbors_[neighbor_index], message);
 }
 
 // fdlsp-lint: hot — per-event steady-state path, no allocator traffic
 void AsyncContext::broadcast(Message message) {
   if (neighbors_.empty()) return;
-  // All but the last copy go through the copy-assign path (recycled event
-  // slots, no fresh payload buffers); the last reuses the original's
-  // buffer, so a broadcast to d neighbors allocates nothing beyond what
-  // the caller already materialized.
+  // All but the last copy are copy-assigned into recycled event slots (no
+  // fresh payload buffers); the last moves the original's buffer, so a
+  // broadcast to d neighbors allocates nothing beyond what the caller
+  // already materialized.
   for (std::size_t i = 0; i + 1 < neighbors_.size(); ++i)
-    send_copy(neighbors_[i].to, message);
-  send(neighbors_.back().to, std::move(message));
+    post(neighbors_[i], std::as_const(message));
+  post(neighbors_.back(), std::move(message));
+}
+
+// fdlsp-lint: hot — per-event steady-state path, no allocator traffic
+template <typename M>
+void AsyncContext::post(const NeighborEntry& entry, M&& message) {
+  if (sink_ != nullptr) {
+    (*sink_)(entry.to, message);  // the sink borrows; it copies what it keeps
+    return;
+  }
+  engine_->post(self_, entry, std::forward<M>(message), now_);
 }
 
 void AsyncContext::set_timer(double delay, std::int64_t cookie) {
@@ -77,27 +87,65 @@ AsyncEngine::AsyncEngine(const Graph& graph,
   FDLSP_REQUIRE(schedule_ != nullptr, "delay schedule required");
   unit_delay_ = schedule_->constant_unit();
   channel_clock_.assign(2 * graph_.num_edges(), 0.0);
-  channel_posts_.assign(2 * graph_.num_edges(), 0);
-  // Per-(neighbor-pair) channel ids, computed once: post() resolves the
-  // channel of every message with a single CSR row search instead of
-  // find_edge + an ArcView Edge load.
-  channels_.build(graph_);
+  delays_drawn_.assign(2 * graph_.num_edges(), 0);
 }
 
+/// Posts one message along `entry` of `from`'s adjacency row. Under a
+/// fault plan, FaultPlan::on_post decides its fate on the channel the
+/// entry names: dropped, scheduled twice (the copy first), scheduled and
+/// then corrupted in its slot, or scheduled as is.
 // fdlsp-lint: hot — per-event steady-state path, no allocator traffic
-void AsyncEngine::schedule_slot(std::uint32_t slot, NodeId to, ArcId channel,
-                                double now) {
+template <typename M>
+void AsyncEngine::post(NodeId from, const NeighborEntry& entry, M&& message,
+                       double now) {
+  const ArcId channel = arc_along(from, entry);
+  if (faults_ != nullptr) {
+    const FaultDecision fate = faults_->on_post(channel, from, entry.to, now);
+    switch (fate.action) {
+      case FaultAction::kDrop:
+        return;
+      case FaultAction::kDuplicate:
+        enqueue(from, entry.to, channel, std::as_const(message), now);
+        break;
+      case FaultAction::kCorrupt:
+        faults_->corrupt_payload(
+            channel, fate.index,
+            enqueue(from, entry.to, channel, std::forward<M>(message), now));
+        return;
+      case FaultAction::kDeliver:
+        break;
+    }
+  }
+  enqueue(from, entry.to, channel, std::forward<M>(message), now);
+}
+
+/// Schedules one message event on `channel` and returns its slot's
+/// message. A moved message swaps payload buffers with the slot (the
+/// dying source takes the slot's recycled one); a kept one is
+/// copy-assigned into the slot's capacity, so the caller keeps its buffer
+/// and a warmed run allocates nothing.
+// fdlsp-lint: hot — per-event steady-state path, no allocator traffic
+template <typename M>
+Message& AsyncEngine::enqueue(NodeId from, NodeId to, ArcId channel,
+                              M&& message, double now) {
+  const std::uint32_t slot = slab_.acquire();
+  AsyncEventSlot& event = slab_[slot];
+  event.to = to;
+  event.channel = channel;
+  event.cookie = 0;
+  event.message = std::forward<M>(message);
+  event.message.from = from;
   // on_send fires once per copy actually scheduled (dropped messages emit no
   // event, duplicates emit two), keeping the per-channel send/deliver
   // pairing the happens-before checker relies on exact under faults.
-  if (trace_ != nullptr) trace_->on_send(slab_[slot].message.from, to);
+  if (trace_ != nullptr) trace_->on_send(from, to);
   double when;
   if (unit_delay_) {
     // Devirtualized constant-unit model: identical timestamps, no virtual
     // call and no post-index bookkeeping (the index only feeds schedules).
     when = now + 1.0;
   } else {
-    const double delay = schedule_->delay(channel, channel_posts_[channel]++);
+    const double delay = schedule_->delay(channel, delays_drawn_[channel]++);
     FDLSP_REQUIRE(delay > 0.0 && delay <= 1.0,
                   "delay schedules must return delays in (0, 1]");
     when = now + delay;
@@ -107,134 +155,7 @@ void AsyncEngine::schedule_slot(std::uint32_t slot, NodeId to, ArcId channel,
   when = std::max(when, channel_clock_[channel] + 1e-9);
   channel_clock_[channel] = when;
   wheel_.insert(AsyncEventKey{when, next_sequence_++, slot});
-}
-
-// fdlsp-lint: hot — per-event steady-state path, no allocator traffic
-void AsyncEngine::enqueue(NodeId to, ArcId channel, Message message,
-                          double now) {
-  const std::uint32_t slot = slab_.acquire();
-  AsyncEventSlot& event = slab_[slot];
-  event.to = to;
-  event.channel = channel;
-  event.cookie = 0;
-  // Move-assign swaps payload buffers: the slot takes the message's, the
-  // dying message takes the slot's recycled one.
-  event.message = std::move(message);
-  schedule_slot(slot, to, channel, now);
-}
-
-// fdlsp-lint: hot — per-event steady-state path, no allocator traffic
-void AsyncEngine::enqueue_copy(NodeId from, NodeId to, ArcId channel,
-                               const Message& message, double now) {
-  const std::uint32_t slot = slab_.acquire();
-  AsyncEventSlot& event = slab_[slot];
-  event.to = to;
-  event.channel = channel;
-  event.cookie = 0;
-  // Copy-assign reuses the recycled slot's payload capacity: the caller
-  // keeps its buffer, the slot keeps its own — no allocation once warmed.
-  event.message = message;
-  event.message.from = from;
-  schedule_slot(slot, to, channel, now);
-}
-
-// fdlsp-lint: hot — per-event steady-state path, no allocator traffic
-void AsyncEngine::post(NodeId from, NodeId to, Message message, double now) {
-  const ArcId channel = channels_.channel(graph_, from, to);
-  FDLSP_REQUIRE(channel != kNoArc, "nodes may only message direct neighbors");
-  if (faults_ == nullptr) {
-    enqueue(to, channel, std::move(message), now);
-    return;
-  }
-  // A crashed sender's handlers never run, but a send from the exact crash
-  // instant is possible; treat both endpoints dead.
-  if (faults_->node_down(from, now) || faults_->node_down(to, now)) {
-    ++faults_->stats().crash_drops;
-    return;
-  }
-  if (faults_->link_down(channel, now)) {
-    ++faults_->stats().link_down_drops;
-    return;
-  }
-  // fdlsp-lint: hot — region outage test is a per-edge bitmask probe
-  if (faults_->region_down(channel, now)) {
-    ++faults_->stats().region_drops;
-    return;
-  }
-  const std::uint64_t index = fault_posts_[channel]++;
-  switch (faults_->channel_action(channel, index, now)) {
-    case FaultAction::kDrop:
-      return;
-    case FaultAction::kDuplicate:
-      enqueue(to, channel, message, now);
-      enqueue(to, channel, std::move(message), now);
-      return;
-    case FaultAction::kCorrupt:
-      faults_->corrupt_payload(channel, index, message);
-      enqueue(to, channel, std::move(message), now);
-      return;
-    case FaultAction::kDeliver:
-      enqueue(to, channel, std::move(message), now);
-      return;
-  }
-  FDLSP_REQUIRE(false, "unknown fault action");
-}
-
-// fdlsp-lint: hot — per-event steady-state path, no allocator traffic
-void AsyncEngine::post_copy(NodeId from, NodeId to, const Message& message,
-                            double now) {
-  const ArcId channel = channels_.channel(graph_, from, to);
-  FDLSP_REQUIRE(channel != kNoArc, "nodes may only message direct neighbors");
-  post_copy_resolved(from, to, channel, message, now);
-}
-
-// fdlsp-lint: hot — per-event steady-state path, no allocator traffic
-void AsyncEngine::post_copy_resolved(NodeId from, NodeId to, ArcId channel,
-                                     const Message& message, double now) {
-  if (faults_ == nullptr) {
-    enqueue_copy(from, to, channel, message, now);
-    return;
-  }
-  // Same fault cascade as post(); drops decide before any copy is made, so
-  // a dropped send of a kept buffer costs nothing at all.
-  if (faults_->node_down(from, now) || faults_->node_down(to, now)) {
-    ++faults_->stats().crash_drops;
-    return;
-  }
-  if (faults_->link_down(channel, now)) {
-    ++faults_->stats().link_down_drops;
-    return;
-  }
-  if (faults_->region_down(channel, now)) {
-    ++faults_->stats().region_drops;
-    return;
-  }
-  const std::uint64_t index = fault_posts_[channel]++;
-  switch (faults_->channel_action(channel, index, now)) {
-    case FaultAction::kDrop:
-      return;
-    case FaultAction::kDuplicate:
-      enqueue_copy(from, to, channel, message, now);
-      enqueue_copy(from, to, channel, message, now);
-      return;
-    case FaultAction::kCorrupt: {
-      // Corrupt the slot's copy in place; the caller's buffer stays intact.
-      const std::uint32_t slot = slab_.acquire();
-      AsyncEventSlot& event = slab_[slot];
-      event.to = to;
-      event.channel = channel;
-      event.cookie = 0;
-      event.message = message;
-      event.message.from = from;
-      faults_->corrupt_payload(channel, index, event.message);
-      schedule_slot(slot, to, channel, now);
-      return;
-    }
-    case FaultAction::kDeliver:
-      enqueue_copy(from, to, channel, message, now);
-      return;
-  }
-  FDLSP_REQUIRE(false, "unknown fault action");
+  return event.message;
 }
 
 // fdlsp-lint: hot — per-timer steady-state path, no allocator traffic
@@ -368,10 +289,7 @@ std::string AsyncEngine::diagnose_stall() {
 
 AsyncMetrics AsyncEngine::run(std::size_t max_messages) {
   AsyncMetrics metrics;
-  if (faults_ != nullptr) {
-    faults_->on_run_start();
-    fault_posts_.assign(2 * graph_.num_edges(), 0);
-  }
+  if (faults_ != nullptr) faults_->on_run_start();
   for (NodeId v = 0; v < graph_.num_nodes(); ++v) {
     // A node whose crash time is <= 0 never wakes up at all.
     if (faults_ != nullptr && faults_->node_down(v, 0.0)) continue;

@@ -16,6 +16,13 @@
 // insertion instead of O(log n) heap sifts — and the set_timer traffic.
 // Dispatch pops it in (time, sequence) order; sequences come from one
 // counter assigned at post time, so simultaneous events fire in post order.
+//
+// Sends: every message is posted along one entry of the sender's adjacency
+// row. send(to, …) and send_copy(to, …) find the entry with one binary
+// search, which is also the direct-neighbor check; send_copy_at and
+// broadcast index or walk the row. The entry names the directed channel
+// (arc_along, graph/arcs.h); an attached FaultPlan decides the message's
+// fate there, in one call (FaultPlan::on_post).
 #pragma once
 
 #include <functional>
@@ -25,7 +32,6 @@
 #include <vector>
 
 #include "graph/graph.h"
-#include "sim/channel_table.h"
 #include "sim/delay.h"
 #include "sim/event_queue.h"
 #include "sim/fault.h"
@@ -70,10 +76,10 @@ class AsyncContext {
   /// carries this node's id regardless.
   void send_copy(NodeId to, const Message& message);
 
-  /// send_copy addressed by position in neighbors() instead of node id:
-  /// the channel resolves by direct adjacency-row lookup, skipping the
-  /// per-send neighbor search — the natural call for programs that iterate
-  /// their neighbor span anyway (the synchronizer's frame fan-out).
+  /// send_copy addressed by position in neighbors() instead of node id,
+  /// skipping the per-send neighbor search — the natural call for programs
+  /// that iterate their neighbor span anyway (the synchronizer's frame
+  /// fan-out).
   void send_copy_at(std::size_t neighbor_index, const Message& message);
 
   /// Sends a copy of the message to every neighbor.
@@ -100,6 +106,15 @@ class AsyncContext {
   AsyncContext(AsyncEngine& engine, NodeId self,
                std::span<const NeighborEntry> neighbors, double now)
       : engine_(&engine), self_(self), neighbors_(neighbors), now_(now) {}
+
+  // The entry of `to` in neighbors_; contract_error for a non-neighbor.
+  const NeighborEntry& entry_of(NodeId to) const;
+
+  // The one send path: posts `message` along `entry`, one of neighbors_,
+  // to the capture sink or the engine. M is Message (moved in) or
+  // const Message& (kept by the caller).
+  template <typename M>
+  void post(const NeighborEntry& entry, M&& message);
 
   AsyncEngine* engine_;
   NodeId self_;
@@ -207,16 +222,11 @@ class AsyncEngine {
 
  private:
   friend class AsyncContext;
-  void post(NodeId from, NodeId to, Message message, double now);
-  void post_copy(NodeId from, NodeId to, const Message& message, double now);
-  /// post_copy with the channel already resolved (fault cascade onward).
-  void post_copy_resolved(NodeId from, NodeId to, ArcId channel,
-                          const Message& message, double now);
-  void enqueue(NodeId to, ArcId channel, Message message, double now);
-  void enqueue_copy(NodeId from, NodeId to, ArcId channel,
-                    const Message& message, double now);
-  void schedule_slot(std::uint32_t slot, NodeId to, ArcId channel,
-                     double now);
+  template <typename M>
+  void post(NodeId from, const NeighborEntry& entry, M&& message, double now);
+  template <typename M>
+  Message& enqueue(NodeId from, NodeId to, ArcId channel, M&& message,
+                   double now);
   void post_timer(NodeId v, double delay, std::int64_t cookie, double now);
   /// Dispatches one popped event: fault screening, then the handler.
   void dispatch_event(const AsyncEventKey& key, AsyncMetrics& metrics,
@@ -231,11 +241,10 @@ class AsyncEngine {
 
   const Graph& graph_;
   std::vector<std::unique_ptr<AsyncProgram>> programs_;
-  ChannelTable channels_;  // (sender, receiver) -> arc id, built once
   AsyncEventSlab slab_;  // event payloads; the wheel holds their keys
   EventWheel wheel_;  // pending message and timer events
   std::vector<double> channel_clock_;  // last scheduled time per directed edge
-  std::vector<std::uint64_t> channel_posts_;  // messages posted per channel
+  std::vector<std::uint64_t> delays_drawn_;  // delay-schedule index per channel
   std::unique_ptr<DelaySchedule> schedule_;
   bool unit_delay_ = false;  // schedule is the constant unit model
   std::uint64_t next_sequence_ = 0;
@@ -243,7 +252,6 @@ class AsyncEngine {
   SimTrace* trace_ = nullptr;
   FaultPlan* faults_ = nullptr;
   AllocAudit* alloc_audit_ = nullptr;  // non-null: bracket each event
-  std::vector<std::uint64_t> fault_posts_;  // fault-decision index per channel
   NodeId current_node_ = kNoNode;  // node whose handler is executing
 };
 

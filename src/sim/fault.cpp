@@ -45,6 +45,7 @@ FaultPlan::FaultPlan(const FaultSpec& spec, const Graph& graph,
     : spec_(spec),
       crash_time_(graph.num_nodes(), -1.0),
       link_down_start_(graph.num_edges(), -1.0),
+      posts_(2 * graph.num_edges(), 0),
       losses_(2 * graph.num_edges(), 0) {
   FDLSP_REQUIRE(
       spec_.drop_rate + spec_.duplicate_rate + spec_.corrupt_rate <= 1.0,
@@ -154,6 +155,27 @@ bool FaultPlan::burst_bad(EdgeId edge, double now) {
   }
   if (step > burst_step_[edge]) burst_step_[edge] = step;
   return burst_state_[edge] != 0;
+}
+
+// fdlsp-lint: hot — per-message fault decision, no allocator traffic
+FaultDecision FaultPlan::on_post(ArcId channel, NodeId from, NodeId to,
+                                 double now) {
+  // A crashed sender never runs, but a send from the crash round or
+  // instant itself is possible; treat both endpoints dead.
+  if (node_down(from, now) || node_down(to, now)) {
+    ++stats_.crash_drops;
+    return {FaultAction::kDrop, 0};
+  }
+  if (link_down(channel, now)) {
+    ++stats_.link_down_drops;
+    return {FaultAction::kDrop, 0};
+  }
+  if (region_down(channel, now)) {
+    ++stats_.region_drops;
+    return {FaultAction::kDrop, 0};
+  }
+  const std::uint64_t index = posts_[channel]++;
+  return {channel_action(channel, index, now), index};
 }
 
 // fdlsp-lint: hot — per-message fault decision, no allocator traffic

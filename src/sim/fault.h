@@ -8,7 +8,9 @@
 // even if they post messages in different orders. The plan is installed on
 // an engine through the same optional-pointer seam as SimTrace: with no
 // plan installed every injection point is a single null check and the run
-// is byte-identical to an unfaulted build.
+// is byte-identical to an unfaulted build. With one, each engine asks it
+// once per posted message, at one call site: on_post runs the whole
+// cascade (crash, link-down, region outage, then the channel faults).
 //
 // Fault classes:
 //   * drop       — the k-th message on a directed channel vanishes.
@@ -48,13 +50,15 @@
 // `max_losses_per_channel` (the channel becomes lossless), burst drops per
 // edge stop after `burst_cap`, and churn/outage windows are finite. An
 // ack/retransmit wrapper (sim/reliable.h) can therefore guarantee delivery,
-// which is what the fault-quiescence oracle exploits. The loss counters and
-// the burst chains make the plan an object with per-run state: construct a
-// fresh plan per run — reuse silently changes decisions, and the engines
-// assert against it (on_run_start) in debug builds. Decisions are still
-// deterministic, because each (channel, message index) pair is queried
-// exactly once, message indices are consumed in order, and engine query
-// times are nondecreasing.
+// which is what the fault-quiescence oracle exploits. The plan owns every
+// per-channel fault counter (message indices, loss budgets) and the burst
+// chains, so the engines keep no fault state, and the plan is an object
+// with per-run state: construct a fresh plan per run — reuse silently
+// changes decisions, and the engines assert against it (on_run_start) in
+// debug builds. Decisions are still deterministic, because on_post hands
+// out each channel's message indices in post order, so each (channel,
+// message index) pair is decided exactly once, and engine query times are
+// nondecreasing.
 #pragma once
 
 #include <bit>
@@ -132,6 +136,15 @@ enum class FaultAction {
   kCorrupt,    ///< one payload word flipped, then delivered
 };
 
+/// FaultPlan::on_post's verdict on one posted message.
+struct FaultDecision {
+  FaultAction action;
+  /// The message's index on its channel: corrupt_payload's argument for
+  /// kCorrupt. 0 for a message a crash, a down link or a region outage
+  /// dropped, which takes no index.
+  std::uint64_t index;
+};
+
 /// Counters of the faults an engine actually injected during one run.
 struct FaultStats {
   std::uint64_t dropped = 0;          ///< i.i.d. channel-fault drops
@@ -180,11 +193,20 @@ class FaultPlan {
     run_started_ = true;
   }
 
+  /// The fate of one message posted from `from` to `to` on `channel` at
+  /// engine time `now` (sync engines pass the round number) — the one
+  /// fault decision both engines make per posted message. A dead endpoint,
+  /// a down link or an open region outage drops it; otherwise it takes the
+  /// channel's next message index and channel_action decides. Counts every
+  /// drop it makes in stats(). Call once per posted message, with `now`
+  /// nondecreasing across calls.
+  FaultDecision on_post(ArcId channel, NodeId from, NodeId to, double now);
+
   /// Decision for the `message_index`-th message posted on `channel` at
-  /// engine time `now` (sync engines pass the round number). Stateful
-  /// through the bounded-loss counters and the burst chains; call exactly
-  /// once per (channel, index), indices in increasing order per channel and
-  /// `now` nondecreasing across calls (the engines do this by construction).
+  /// engine time `now` (sync engines pass the round number); on_post's
+  /// last step. Stateful through the bounded-loss counters and the burst
+  /// chains; call exactly once per (channel, index), indices in increasing
+  /// order per channel and `now` nondecreasing across calls.
   FaultAction channel_action(ArcId channel, std::uint64_t message_index,
                              double now = 0.0);
 
@@ -254,6 +276,7 @@ class FaultPlan {
   FaultSpec spec_;
   std::vector<double> crash_time_;       ///< per node; < 0 == never
   std::vector<double> link_down_start_;  ///< per edge; < 0 == never
+  std::vector<std::uint64_t> posts_;     ///< message indices taken per channel
   std::vector<std::uint64_t> losses_;    ///< drops+corruptions per channel
   std::vector<std::uint8_t> burst_state_;    ///< per edge; 1 == bad
   std::vector<std::int64_t> burst_step_;     ///< last chain step advanced to

@@ -12,6 +12,7 @@
 #include <thread>
 #include <utility>
 
+#include "graph/arcs.h"
 #include "support/alloc_audit.h"
 #include "support/check.h"
 
@@ -20,67 +21,47 @@ namespace fdlsp {
 // fdlsp-lint: hot — per-message steady-state path, no allocator traffic
 void SyncContext::send(NodeId to, Message message) {
   message.from = self_;
-  if (capture_ != nullptr) {
+  if (capture_ != nullptr) {  // the capture layer validates its own sends
     (*capture_)(to, message);
     return;
   }
-  if (lanes_ != nullptr) {
-    // Sharded round: validate against this shard's ChannelTable slice
-    // (shard-local memory, doubles as the neighbor proof) and buffer the
-    // send in the lane of the destination's shard for the post-barrier
-    // merge; shared engine state is untouched.
-    FDLSP_REQUIRE(channels_->channel(engine_->graph_, self_, to) != kNoArc,
-                  "nodes may only message direct neighbors");
-    lanes_[plan_.shard_of(to)].add(to, std::move(message));
-    return;
-  }
-  engine_->deliver(self_, to, std::move(message));
-}
-
-// fdlsp-lint: hot — per-message steady-state path, no allocator traffic
-void SyncContext::send_trusted(NodeId to, Message message) {
-  message.from = self_;
-  if (capture_ != nullptr) {
-    (*capture_)(to, message);
-    return;
-  }
-  if (lanes_ != nullptr) {
-    lanes_[plan_.shard_of(to)].add(to, std::move(message));
-    return;
-  }
-  engine_->deliver_trusted(self_, to, std::move(message));
-}
-
-// fdlsp-lint: hot — per-message steady-state path, no allocator traffic
-void SyncContext::send_trusted_copy(NodeId to, const Message& message) {
-  if (capture_ != nullptr) {
-    // The capture sink borrows: no temporary, no ownership transfer. The
-    // sink knows the sending node; `from` stays whatever the caller's
-    // scratch holds.
-    (*capture_)(to, message);
-    return;
-  }
-  if (lanes_ != nullptr) {
-    lanes_[plan_.shard_of(to)].add_copy(to, message, self_);
-    return;
-  }
-  engine_->deliver_trusted_copy(self_, to, message);
+  const NeighborEntry* entry = find_neighbor(neighbors_, to);
+  FDLSP_REQUIRE(entry != nullptr, "nodes may only message direct neighbors");
+  post(*entry, std::move(message));
 }
 
 // fdlsp-lint: hot — per-message steady-state path, no allocator traffic
 void SyncContext::broadcast(Message&& message) {
   if (neighbors_.empty()) return;
   for (std::size_t i = 0; i + 1 < neighbors_.size(); ++i)
-    send_trusted_copy(neighbors_[i].to, message);
+    post(neighbors_[i], std::as_const(message));
   // The last copy is the original: move instead of copy, so a broadcast
   // to d neighbors performs d-1 payload copies, not d.
-  send_trusted(neighbors_.back().to, std::move(message));
+  post(neighbors_.back(), std::move(message));
 }
 
 // fdlsp-lint: hot — per-message steady-state path, no allocator traffic
 void SyncContext::broadcast(const Message& message) {
-  for (const NeighborEntry& neighbor : neighbors_)
-    send_trusted_copy(neighbor.to, message);
+  for (const NeighborEntry& entry : neighbors_) post(entry, message);
+}
+
+// fdlsp-lint: hot — per-message steady-state path, no allocator traffic
+template <typename M>
+void SyncContext::post(const NeighborEntry& entry, M&& message) {
+  if (capture_ != nullptr) {
+    // The capture sink borrows: no temporary, no ownership transfer. The
+    // sink knows the sending node; `from` is unspecified.
+    (*capture_)(entry.to, message);
+    return;
+  }
+  if (lanes_ != nullptr) {
+    // Sharded round: buffer the send in the lane of the destination's
+    // shard for the post-barrier merge; shared engine state is untouched.
+    lanes_[plan_.shard_of(entry.to)].add(entry.to, std::forward<M>(message),
+                                         self_);
+    return;
+  }
+  engine_->post(self_, entry, std::forward<M>(message));
 }
 
 SyncEngine::SyncEngine(const Graph& graph, SyncProgramSet& set)
@@ -102,50 +83,34 @@ std::size_t SyncEngine::planned_shards() const noexcept {
   return std::clamp<std::size_t>(shards_config_, 1, std::min(n, kMaxShards));
 }
 
+/// Posts one message along `entry` of `from`'s adjacency row. Under a
+/// fault plan, FaultPlan::on_post decides its fate on the channel the
+/// entry names: dropped, enqueued twice (the copy first), enqueued and then
+/// corrupted in its slot, or enqueued as is. Sharded rounds buffer in lanes
+/// instead and never get here; a plan pins the run to one shard.
 // fdlsp-lint: hot — per-message steady-state path, no allocator traffic
-void SyncEngine::deliver(NodeId from, NodeId to, Message&& message) {
+template <typename M>
+void SyncEngine::post(NodeId from, const NeighborEntry& entry, M&& message) {
   if (faults_ != nullptr) {
-    // One CSR row search resolves the directed channel and validates
-    // neighbor-ness at once — the old path did a has_edge binary search
-    // plus find_edge plus an Edge load for every message.
-    const ArcId channel = channels_.channel(graph_, from, to);
-    FDLSP_REQUIRE(channel != kNoArc,
-                  "nodes may only message direct neighbors");
-    deliver_faulted(channel, from, to, std::move(message));
-    return;
+    const ArcId channel = arc_along(from, entry);
+    const FaultDecision fate = faults_->on_post(
+        channel, from, entry.to, static_cast<double>(current_round_));
+    switch (fate.action) {
+      case FaultAction::kDrop:
+        return;
+      case FaultAction::kDuplicate:
+        enqueue(from, entry.to, std::as_const(message));
+        break;
+      case FaultAction::kCorrupt:
+        faults_->corrupt_payload(
+            channel, fate.index,
+            enqueue(from, entry.to, std::forward<M>(message)));
+        return;
+      case FaultAction::kDeliver:
+        break;
+    }
   }
-  FDLSP_REQUIRE(graph_.has_edge(from, to),
-                "nodes may only message direct neighbors");
-  enqueue(from, to, std::move(message));
-}
-
-// fdlsp-lint: hot — per-message steady-state path, no allocator traffic
-void SyncEngine::deliver_trusted(NodeId from, NodeId to, Message&& message) {
-  if (faults_ != nullptr) {
-    // The channel lookup subsumes the neighbor-ness proof, so the fault
-    // path costs the same whether the sender was validated or trusted.
-    const ArcId channel = channels_.channel(graph_, from, to);
-    FDLSP_ASSERT(channel != kNoArc, "trusted send to a non-neighbor");
-    deliver_faulted(channel, from, to, std::move(message));
-    return;
-  }
-  enqueue(from, to, std::move(message));
-}
-
-// fdlsp-lint: hot — per-message steady-state path, no allocator traffic
-void SyncEngine::deliver_trusted_copy(NodeId from, NodeId to,
-                                      const Message& message) {
-  if (faults_ != nullptr) {
-    const ArcId channel = channels_.channel(graph_, from, to);
-    FDLSP_ASSERT(channel != kNoArc, "trusted send to a non-neighbor");
-    // The fault path mutates per-copy (corruption) and forces serial
-    // execution anyway; materialize the copy it expects.
-    Message copy = message;
-    copy.from = from;
-    deliver_faulted(channel, from, to, std::move(copy));
-    return;
-  }
-  enqueue_copy(from, to, message);
+  enqueue(from, entry.to, std::forward<M>(message));
 }
 
 /// The next recycled slot of `to`'s next-round inbox; grows the slab only
@@ -181,67 +146,26 @@ Message& SyncEngine::next_slot(NodeId to, std::size_t words,
   return box[count++];
 }
 
+/// Appends one message to `to`'s next-round inbox and returns its slot. A
+/// moved message swaps payload buffers with the slot, so the slot's
+/// previous capacity migrates into the (expiring) source instead of being
+/// freed here; a kept one is copy-assigned into the slot's recycled
+/// capacity — the zero-alloc landing pad for broadcast(const Message&).
 // fdlsp-lint: hot — per-message steady-state path, no allocator traffic
-void SyncEngine::enqueue(NodeId from, NodeId to, Message&& message) {
+template <typename M>
+Message& SyncEngine::enqueue(NodeId from, NodeId to, M&& message) {
   // on_send fires once per copy actually enqueued (dropped messages emit no
   // event, duplicates emit two), keeping the per-channel send/deliver
   // pairing the happens-before checker relies on exact under faults.
   if (trace_ != nullptr) trace_->on_send(from, to);
-  // Swap-based move-assignment: the slot's previous payload capacity
-  // migrates into the (expiring) source instead of being freed here.
-  next_slot(to, 0, dirty_next_[0]) = std::move(message);
-  ++pending_messages_;
-  ++total_messages_;
-}
-
-// fdlsp-lint: hot — per-message steady-state path, no allocator traffic
-void SyncEngine::enqueue_copy(NodeId from, NodeId to, const Message& message) {
-  if (trace_ != nullptr) trace_->on_send(from, to);
-  // Copy-assignment reuses the recycled slot's payload capacity — the
-  // zero-alloc landing pad for broadcast(const Message&).
-  Message& slot = next_slot(to, message.data.size(), dirty_next_[0]);
-  slot = message;
+  const std::size_t words =
+      std::is_lvalue_reference_v<M> ? message.data.size() : 0;
+  Message& slot = next_slot(to, words, dirty_next_[0]);
+  slot = std::forward<M>(message);
   slot.from = from;
   ++pending_messages_;
   ++total_messages_;
-}
-
-// fdlsp-lint: hot — per-message steady-state path, no allocator traffic
-void SyncEngine::deliver_faulted(ArcId channel, NodeId from, NodeId to,
-                                 Message message) {
-  const double now = static_cast<double>(current_round_);
-  // A crashed sender never runs, but sends from the crash round itself are
-  // possible when the crash lands mid-round; treat both endpoints dead.
-  if (faults_->node_down(from, now) || faults_->node_down(to, now)) {
-    ++faults_->stats().crash_drops;
-    return;
-  }
-  if (faults_->link_down(channel, now)) {
-    ++faults_->stats().link_down_drops;
-    return;
-  }
-  // fdlsp-lint: hot — region outage test is a per-edge bitmask probe
-  if (faults_->region_down(channel, now)) {
-    ++faults_->stats().region_drops;
-    return;
-  }
-  const std::uint64_t index = channel_posts_[channel]++;
-  switch (faults_->channel_action(channel, index, now)) {
-    case FaultAction::kDrop:
-      return;
-    case FaultAction::kDuplicate:
-      enqueue_copy(from, to, message);
-      enqueue(from, to, std::move(message));
-      return;
-    case FaultAction::kCorrupt:
-      faults_->corrupt_payload(channel, index, message);
-      enqueue(from, to, std::move(message));
-      return;
-    case FaultAction::kDeliver:
-      enqueue(from, to, std::move(message));
-      return;
-  }
-  FDLSP_REQUIRE(false, "unknown fault action");
+  return slot;
 }
 
 namespace {
@@ -489,7 +413,6 @@ void SyncEngine::round_shard(std::size_t s, RunFrame& frame) {
       ctx.lanes_ = lanes;
       ctx.plan_ = plan_;
       ctx.shard_ = s;
-      ctx.channels_ = &shard_channels_[s];
     }
     set_->on_round(v, ctx, inbox);
     refresh(v, frame, delta);
@@ -536,10 +459,6 @@ SyncMetrics SyncEngine::run(std::size_t max_rounds) {
   std::vector<std::pair<std::size_t, NodeId>> crashes;
   if (faults_ != nullptr) {
     faults_->on_run_start();
-    channel_posts_.assign(2 * graph_.num_edges(), 0);
-    // Per-(neighbor-pair) channel ids, computed once and reused for every
-    // faulted message.
-    channels_.build(graph_);
     // A node is down from the first round at or after its crash time.
     for (NodeId v = 0; v < n; ++v)
       if (faults_->node_crashes(v))
@@ -565,14 +484,6 @@ SyncMetrics SyncEngine::run(std::size_t max_rounds) {
     if (dirty_next_.size() < shards) {
       dirty_next_.resize(shards);
       dirty_inbox_.resize(shards);
-    }
-    if (sliced_shards_ != shards) {
-      shard_channels_.resize(shards);
-      for (std::size_t s = 0; s < shards; ++s)
-        shard_channels_[s].build_slice(graph_,
-                                       static_cast<NodeId>(plan_.lo(s)),
-                                       static_cast<NodeId>(plan_.hi(s)));
-      sliced_shards_ = shards;
     }
   }
 

@@ -36,16 +36,25 @@
 // into S contiguous shards and runs each on its own thread: the caller's
 // thread is shard 0, and run() starts S-1 threads for the others and joins
 // them before it returns. The threads meet at barriers, never at a task
-// queue. Each shard owns its slice of state: its nodes' inbox slabs, a
-// ChannelTable slice for send-side validation, and an S-lane row of send
-// slabs, one lane per destination shard. After the round barrier each
-// shard merges the lanes addressed to it in ascending source-shard order —
-// which reproduces the serial (sender id, send order) enqueue order
-// exactly, so the run is byte-identical to the serial engine for any shard
-// count. Serial execution is the one-shard case of the same round body,
-// delivering directly instead of through lanes. Trace and fault seams pin
-// one shard: they are observation/adversary channels, not hot paths, and
-// their event ordering contracts stay exactly as documented.
+// queue. Each shard owns its slice of state: its nodes' inbox slabs and an
+// S-lane row of send slabs, one lane per destination shard. After the
+// round barrier each shard merges the lanes addressed to it in ascending
+// source-shard order — which reproduces the serial (sender id, send order)
+// enqueue order exactly, so the run is byte-identical to the serial engine
+// for any shard count. Serial execution is the one-shard case of the same
+// round body, delivering directly instead of through lanes. Trace and
+// fault seams pin one shard: they are observation/adversary channels, not
+// hot paths, and their event ordering contracts stay exactly as
+// documented.
+//
+// Sends (DESIGN.md §11): every message is posted along one entry of the
+// sender's adjacency row. send(to, …) finds the entry with one binary
+// search over the row, which is also the direct-neighbor check, and
+// broadcast walks the row. The entry names the directed channel
+// (arc_along, graph/arcs.h); an attached FaultPlan decides the message's
+// fate there, in one call (FaultPlan::on_post). A sender's row lies in its
+// own shard's slice of the CSR adjacency, so on a sharded round the check
+// never reads another shard's memory.
 #pragma once
 
 #include <algorithm>
@@ -53,10 +62,11 @@
 #include <cstdint>
 #include <functional>
 #include <span>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "graph/graph.h"
-#include "sim/channel_table.h"
 #include "sim/fault.h"
 #include "sim/message.h"
 #include "sim/shard.h"
@@ -89,37 +99,28 @@ struct SyncBufferedSend {
 /// without allocating, mirroring the engine's inbox slabs.
 class SyncSendSlab {
  public:
-  /// Appends by move; the displaced slot payload migrates into the source
-  /// (SmallPayload's swapping move-assignment), never freed here.
-  void add(NodeId to, Message&& message) {
-    if (count_ < sends_.size()) {
-      SyncBufferedSend& slot = sends_[count_];
-      slot.to = to;
-      slot.message = std::move(message);
-    } else {
-      sends_.push_back(SyncBufferedSend{to, std::move(message)});
-    }
-    ++count_;
-  }
-
-  /// Appends by copy-assign — the slot's payload capacity is reused, so a
-  /// warmed slab buffers broadcast copies with zero allocator traffic. The
-  /// stored copy's `from` field is stamped with `from` (the source message
-  /// is shared by all receivers and never mutated).
-  void add_copy(NodeId to, const Message& message, NodeId from) {
-    if (count_ < sends_.size()) {
-      SyncBufferedSend& slot = sends_[count_];
-      // Dead slots past the live count are unordered; when this slot's
-      // payload capacity is too small, borrow a big-enough one from the
-      // dead region so the slab's total spilled capacity is recycled
-      // instead of every slot index growing independently. The scan is
-      // windowed: per-node inbox rows are degree-sized so a window covers
-      // them entirely, but a shard lane holds a whole shard's sends for
-      // the round, and an unbounded scan that mostly finds nothing (cold
-      // slots hold no spilled capacity yet) turns the warm-up quadratic
-      // in the lane size. Beyond the window the slot grows its own
-      // capacity — a bounded number of times, so the allocation-free
-      // steady state is unchanged.
+  /// Appends a send from `from`. A moved message swaps payload buffers
+  /// with the slot (SmallPayload's move-assignment), so the displaced
+  /// capacity migrates into the source, never freed here. A kept one
+  /// (const lvalue, e.g. a broadcast copy) is copy-assigned into the
+  /// slot's capacity, so a warmed slab buffers it with zero allocator
+  /// traffic and the source is never mutated.
+  template <typename M>
+  void add(NodeId to, M&& message, NodeId from) {
+    if (count_ == sends_.size()) sends_.emplace_back();
+    SyncBufferedSend& slot = sends_[count_];
+    // Dead slots past the live count are unordered; when a copy does not
+    // fit this slot's payload capacity, borrow a big-enough one from the
+    // dead region so the slab's total spilled capacity is recycled instead
+    // of every slot index growing independently. The scan is windowed:
+    // per-node inbox rows are degree-sized so a window covers them
+    // entirely, but a shard lane holds a whole shard's sends for the
+    // round, and an unbounded scan that mostly finds nothing (cold slots
+    // hold no spilled capacity yet) turns the warm-up quadratic in the
+    // lane size. Beyond the window the slot grows its own capacity — a
+    // bounded number of times, so the allocation-free steady state is
+    // unchanged.
+    if constexpr (std::is_lvalue_reference_v<M>) {
       if (message.data.size() > slot.message.data.capacity()) {
         const std::size_t window =
             std::min(sends_.size(), count_ + 1 + kBorrowWindow);
@@ -130,12 +131,10 @@ class SyncSendSlab {
           }
         }
       }
-      slot.to = to;
-      slot.message = message;
-    } else {
-      sends_.push_back(SyncBufferedSend{to, message});
     }
-    sends_[count_].message.from = from;
+    slot.to = to;
+    slot.message = std::forward<M>(message);
+    slot.message.from = from;
     ++count_;
   }
 
@@ -148,7 +147,7 @@ class SyncSendSlab {
   void reset() noexcept { count_ = 0; }
 
  private:
-  /// Dead-region capacity-borrow scan bound (see add_copy).
+  /// Dead-region capacity-borrow scan bound (see add).
   static constexpr std::size_t kBorrowWindow = 32;
 
   std::vector<SyncBufferedSend> sends_;
@@ -249,16 +248,11 @@ class SyncContext {
         round_(round),
         phase_(phase) {}
 
-  // send() for targets already known to be neighbors — broadcast iterates
-  // neighbors_, which the engine built from the graph, so the per-send
-  // neighbor-ness validation (a binary search) would re-prove an invariant
-  // that holds by construction. Direct send() keeps the check.
-  void send_trusted(NodeId to, Message message);
-
-  // Copying twin of send_trusted for broadcast(const Message&): the payload
-  // is copy-assigned into a recycled slot instead of materializing a
-  // temporary Message per receiver.
-  void send_trusted_copy(NodeId to, const Message& message);
+  // The one send path: posts `message` along `entry`, one of neighbors_,
+  // to the capture sink, this shard's lane or the engine. M is Message
+  // (moved in) or const Message& (kept by the caller).
+  template <typename M>
+  void post(const NeighborEntry& entry, M&& message);
 
   SyncEngine* engine_;
   NodeId self_;
@@ -273,9 +267,8 @@ class SyncContext {
   // lanes_[plan_.shard_of(to)] for the post-barrier merge instead of
   // touching state another shard's thread owns.
   SyncSendSlab* lanes_ = nullptr;
-  ShardPlan plan_{};                        // sharded rounds only
-  std::size_t shard_ = 0;                   // executing shard (0 = serial)
-  const ChannelTable* channels_ = nullptr;  // shard-local send validation
+  ShardPlan plan_{};       // sharded rounds only
+  std::size_t shard_ = 0;  // executing shard (0 = serial)
 };
 
 /// The node programs of a synchronous run: a whole population behind one
@@ -415,12 +408,10 @@ class SyncEngine {
   void refresh(NodeId v, RunFrame& frame, StepCounts& delta);
   void round_shard(std::size_t s, RunFrame& frame);
   void phase_shard(std::size_t s, RunFrame& frame);
-  void deliver(NodeId from, NodeId to, Message&& message);
-  void deliver_trusted(NodeId from, NodeId to, Message&& message);
-  void deliver_trusted_copy(NodeId from, NodeId to, const Message& message);
-  void deliver_faulted(ArcId channel, NodeId from, NodeId to, Message message);
-  void enqueue(NodeId from, NodeId to, Message&& message);
-  void enqueue_copy(NodeId from, NodeId to, const Message& message);
+  template <typename M>
+  void post(NodeId from, const NeighborEntry& entry, M&& message);
+  template <typename M>
+  Message& enqueue(NodeId from, NodeId to, M&& message);
   Message& next_slot(NodeId to, std::size_t words, std::vector<NodeId>& dirty);
 
   const Graph& graph_;
@@ -464,12 +455,8 @@ class SyncEngine {
   std::size_t shards_config_ = 0;      // set_shards(); 0 or 1 = serial
   ShardPlan plan_{};                   // partition of the current run
   // --- sharded-run state (sized on the first sharded run) ---
-  std::vector<SyncSendSlab> lanes_;        // S*S lanes, index src*S + dst
-  std::vector<ChannelTable> shard_channels_;  // per-shard send slices
-  std::size_t sliced_shards_ = 0;  // shard count the slices were built for
-  ChannelTable channels_;                     // fault path only
-  std::vector<std::uint64_t> channel_posts_;  // fault path only
-  std::size_t current_round_ = 0;  // the round run() is executing
+  std::vector<SyncSendSlab> lanes_;  // S*S lanes, index src*S + dst
+  std::size_t current_round_ = 0;    // the round run() is executing
 };
 
 }  // namespace fdlsp

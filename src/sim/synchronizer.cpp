@@ -104,12 +104,9 @@ SyncOverAsyncProgram::SyncOverAsyncProgram(const Graph& graph,
   for (std::size_t idx = 0; idx < degree; ++idx) {
     const std::span<const NeighborEntry> theirs =
         graph.neighbors(neighbors_[idx].to);
-    const auto* it = std::lower_bound(
-        theirs.data(), theirs.data() + theirs.size(), self_,
-        [](const NeighborEntry& entry, NodeId id) { return entry.to < id; });
-    FDLSP_REQUIRE(it != theirs.data() + theirs.size() && it->to == self_,
-                  "adjacency lists are not symmetric");
-    rev_index_[idx] = static_cast<std::uint32_t>(it - theirs.data());
+    const NeighborEntry* entry = find_neighbor(theirs, self_);
+    FDLSP_REQUIRE(entry != nullptr, "adjacency lists are not symmetric");
+    rev_index_[idx] = static_cast<std::uint32_t>(entry - theirs.data());
   }
   capture_sink_ = [this](NodeId to, const Message& message) {
     capture(to, message);
@@ -249,14 +246,11 @@ void SyncOverAsyncProgram::capture(NodeId to, const Message& message) {
 }
 
 std::size_t SyncOverAsyncProgram::neighbor_index(NodeId v) const {
-  const auto* it = std::lower_bound(
-      neighbors_.data(), neighbors_.data() + neighbors_.size(), v,
-      [](const NeighborEntry& entry, NodeId id) { return entry.to < id; });
   // The binary search doubles as the neighbor-ness validation the engine's
   // send path would have performed for a direct send.
-  FDLSP_REQUIRE(it != neighbors_.data() + neighbors_.size() && it->to == v,
-                "synchronizer addressed a non-neighbor");
-  return static_cast<std::size_t>(it - neighbors_.data());
+  const NeighborEntry* entry = find_neighbor(neighbors_, v);
+  FDLSP_REQUIRE(entry != nullptr, "synchronizer addressed a non-neighbor");
+  return static_cast<std::size_t>(entry - neighbors_.data());
 }
 
 // fdlsp-lint: hot — per-inner-message steady-state path; the slab grows a

@@ -5,6 +5,7 @@
 
 #include "algos/dist_repair.h"
 #include "coloring/checker.h"
+#include "graph/algorithms.h"
 #include "graph/arcs.h"
 #include "support/check.h"
 #include "verify/shrink.h"
@@ -15,37 +16,6 @@ namespace {
 
 std::string describe(const char* oracle, const std::string& detail) {
   return std::string(oracle) + ": " + detail;
-}
-
-/// Nodes within shortest-path distance <= radius of any source (multi-
-/// source BFS). Sources themselves are included.
-std::vector<char> ball_of(const Graph& graph,
-                          const std::vector<NodeId>& sources,
-                          std::size_t radius) {
-  std::vector<std::size_t> dist(graph.num_nodes(),
-                                static_cast<std::size_t>(-1));
-  std::vector<NodeId> frontier;
-  for (NodeId v : sources) {
-    if (dist[v] != 0) {
-      dist[v] = 0;
-      frontier.push_back(v);
-    }
-  }
-  for (std::size_t d = 0; d < radius && !frontier.empty(); ++d) {
-    std::vector<NodeId> next;
-    for (NodeId v : frontier) {
-      for (const NeighborEntry& entry : graph.neighbors(v)) {
-        if (dist[entry.to] != static_cast<std::size_t>(-1)) continue;
-        dist[entry.to] = d + 1;
-        next.push_back(entry.to);
-      }
-    }
-    frontier = std::move(next);
-  }
-  std::vector<char> inside(graph.num_nodes(), 0);
-  for (NodeId v = 0; v < graph.num_nodes(); ++v)
-    if (dist[v] != static_cast<std::size_t>(-1)) inside[v] = 1;
-  return inside;
 }
 
 }  // namespace
@@ -83,7 +53,7 @@ OracleVerdict check_fault_result(const Graph& graph,
       region.push_back(graph.edge(e).u);
       region.push_back(graph.edge(e).v);
     }
-    if (!region.empty()) exempt_node = ball_of(graph, region, 1);
+    if (!region.empty()) exempt_node = hop_ball(graph, region, 1);
   }
   ArcColoring scoped = result.coloring;
   std::size_t exempt_arcs = 0;
@@ -239,7 +209,7 @@ CrashRecoveryReport check_crash_recovery(SchedulerKind kind,
   ArcColoring stale = clean.coloring;
   for (NodeId v : crashed)
     for (const NeighborEntry& entry : graph.neighbors(v))
-      stale.clear(view.arc_from(entry.edge, v));
+      stale.clear(arc_along(v, entry));
   for (EdgeId e : churned) {
     stale.clear(static_cast<ArcId>(e << 1));
     stale.clear(static_cast<ArcId>((e << 1) | 1u));
@@ -273,7 +243,7 @@ CrashRecoveryReport check_crash_recovery(SchedulerKind kind,
     region.push_back(graph.edge(e).u);
     region.push_back(graph.edge(e).v);
   }
-  const std::vector<char> near_fault = ball_of(graph, region, 2);
+  const std::vector<char> near_fault = hop_ball(graph, region, 2);
 
   for (ArcId a = 0; a < view.num_arcs(); ++a) {
     const bool was = stale.is_colored(a);

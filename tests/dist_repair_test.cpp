@@ -498,7 +498,7 @@ std::size_t one_arc_repair_messages(std::size_t n) {
   for (NodeId v = 1; v < graph.num_nodes(); ++v)
     if (graph.degree(v) > graph.degree(hub)) hub = v;
   const NeighborEntry& first = graph.neighbors(hub).front();
-  stale.clear(view.arc_from(first.edge, hub));
+  stale.clear(arc_along(hub, first));
   const std::vector<NodeId> touched{std::min(hub, first.to),
                                     std::max(hub, first.to)};
   const DistRepairResult result = run_distributed_repair(

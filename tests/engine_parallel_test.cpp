@@ -231,8 +231,8 @@ TEST(ShardedEngine, ShardPlanPartitionsContiguouslyAndInvertsExactly) {
 }
 
 // The tentpole contract: with engine *state* partitioned into contiguous
-// shards, each run on its own thread — per-shard send lanes, ChannelTable
-// slices, SoA protocol scratch — every engine-backed scheduler must stay
+// shards, each run on its own thread — per-shard send lanes and SoA
+// protocol scratch — every engine-backed scheduler must stay
 // byte-identical to the serial run across all six scenario families. The
 // counts include 8 and 16 and one (32) above every sampled node count (at
 // most 24), which runs capped at one node per shard. The probe lives in

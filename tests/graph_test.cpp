@@ -137,12 +137,16 @@ TEST(ArcView, OutInIncidentArcs) {
 TEST(ArcView, ArcIdsAreDenseAndConsistent) {
   const Graph graph = triangle_plus_tail();
   const ArcView view(graph);
-  for (EdgeId e = 0; e < graph.num_edges(); ++e) {
-    const Edge& edge = graph.edge(e);
-    const ArcId forward = view.arc_from(e, edge.u);
-    const ArcId backward = view.arc_from(e, edge.v);
-    EXPECT_EQ(forward, static_cast<ArcId>(2 * e));
-    EXPECT_EQ(backward, static_cast<ArcId>(2 * e + 1));
+  for (NodeId v = 0; v < graph.num_nodes(); ++v) {
+    for (const NeighborEntry& entry : graph.neighbors(v)) {
+      // Arc 2e runs u -> v of edge e = {u, v}, arc 2e + 1 back.
+      const ArcId a = arc_along(v, entry);
+      const bool forward = graph.edge(entry.edge).u == v;
+      EXPECT_EQ(a, static_cast<ArcId>(2 * entry.edge + (forward ? 0 : 1)));
+      EXPECT_EQ(view.tail(a), v);
+      EXPECT_EQ(view.head(a), entry.to);
+      EXPECT_EQ(view.find_arc(v, entry.to), a);
+    }
   }
 }
 

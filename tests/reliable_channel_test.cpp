@@ -405,12 +405,11 @@ TEST(ReliableSleepTest, SleepingThroughIdleWindowRoundsIsInvisible) {
   // shrinks as crashed nodes crowd a small graph (about 89.9% on a 4x4
   // grid at this crash rate, 91% on 6x6).
   const Graph graph = generate_grid(6, 6);
-  const ArcView view(graph);
   const ScheduleResult clean =
       run_scheduler(SchedulerKind::kDistMisGbg, graph, 3);
   ArcColoring stale = clean.coloring;
   for (const NeighborEntry& entry : graph.neighbors(14))
-    stale.clear(view.arc_from(entry.edge, 14));
+    stale.clear(arc_along(14, entry));
 
   std::size_t plans = 0;
   for (const FaultSpec& spec : {lossy, crash}) {

@@ -190,12 +190,12 @@ ScheduleResult mutant_skip_distance2(const Graph& graph, std::uint64_t) {
     const NodeId t = view.tail(a);
     const NodeId h = view.head(a);
     for (const NeighborEntry& entry : graph.neighbors(t)) {
-      mark(view.arc_from(entry.edge, t));
-      mark(ArcView::reverse(view.arc_from(entry.edge, t)));
+      mark(arc_along(t, entry));
+      mark(ArcView::reverse(arc_along(t, entry)));
     }
     for (const NeighborEntry& entry : graph.neighbors(h)) {
-      mark(view.arc_from(entry.edge, h));
-      mark(ArcView::reverse(view.arc_from(entry.edge, h)));
+      mark(arc_along(h, entry));
+      mark(ArcView::reverse(arc_along(h, entry)));
     }
     Color c = 0;
     while (static_cast<std::size_t>(c) < used.size() &&

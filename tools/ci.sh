@@ -53,9 +53,10 @@ run_sanitizer() {  # $1 = preset name (asan-ubsan | tsan)
   # dfs_schedule_test: their pinned sweeps run DistMIS (serially, at 4
   # shards and asynchronously) and DFS with the range asserts over the
   # learned-color regions live; dist_repair_test's pin does the same for
-  # repair.
+  # repair. async_engine_test drives the asynchronous post path (per-channel
+  # FIFO, the non-neighbor rejection, determinism) with its asserts live.
   ctest --test-dir "build-${preset}" \
-    -R '^(engine_alloc_test|repair_test|dist_repair_test|sync_engine_test|dist_mis_test|dfs_schedule_test)$' \
+    -R '^(engine_alloc_test|repair_test|dist_repair_test|sync_engine_test|dist_mis_test|dfs_schedule_test|async_engine_test)$' \
     --output-on-failure
 }
 
