@@ -1,12 +1,17 @@
 // Tests for the D-MGC baseline.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "algos/dmgc.h"
 #include "coloring/bounds.h"
 #include "coloring/checker.h"
 #include "graph/arcs.h"
 #include "graph/generators.h"
 #include "support/rng.h"
+#include "verify/scenario.h"
+
+#include "fnv64.h"
 
 namespace fdlsp {
 namespace {
@@ -94,6 +99,56 @@ TEST(Dmgc, DeterministicOutput) {
   const auto a = run_dmgc(graph);
   const auto b = run_dmgc(graph);
   EXPECT_EQ(a.coloring.raw(), b.coloring.raw());
+}
+
+TEST(Dmgc, ExactOutputsArePinned) {
+  // The other cases check feasibility only. This one pins D-MGC's exact
+  // output (every arc's color, the slot count and the phase statistics)
+  // over the six scenario families at n = 8, 12 and 50, seeds 1-3, and over
+  // dense G(200, m) instances, where color classes shed edges. A change to
+  // how the baseline orients or recolors must leave both hashes as they are.
+  const auto fold = [](Fnv64& hash, const Graph& graph) {
+    DmgcStats stats;
+    const ScheduleResult result = run_dmgc(graph, &stats);
+    for (ArcId a = 0; a < result.coloring.num_arcs(); ++a)
+      hash.add(static_cast<std::uint32_t>(result.coloring.color(a)));
+    hash.add(result.num_slots);
+    hash.add(stats.edge_colors);
+    hash.add(stats.injected_edges);
+    hash.add(stats.estimated_rounds);
+    return stats.injected_edges;
+  };
+
+  Fnv64 families;
+  std::size_t instances = 0;
+  for (const GraphFamily family : kAllFamilies) {
+    for (const std::size_t n : {8u, 12u, 50u}) {
+      for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        Scenario scenario;
+        scenario.family = family;
+        scenario.n = n;
+        scenario.density = 0.4;
+        scenario.seed = seed;
+        fold(families, materialize(scenario));
+        ++instances;
+      }
+    }
+  }
+  EXPECT_EQ(instances, 54u);
+  EXPECT_EQ(families.value(), 0xdaa9f4e784f1c93cULL)
+      << "families: got 0x" << std::hex << families.value();
+
+  Fnv64 dense;
+  std::size_t injected = 0;
+  for (const std::size_t m : {400u, 800u, 1600u, 3200u}) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      Rng rng(seed);
+      injected += fold(dense, generate_gnm(200, m, rng));
+    }
+  }
+  EXPECT_EQ(injected, 14663u);
+  EXPECT_EQ(dense.value(), 0x5f3d6ed1bc56266eULL)
+      << "dense G(200, m): got 0x" << std::hex << dense.value();
 }
 
 }  // namespace
