@@ -12,6 +12,10 @@
 //   satisfiable. Oriented class i occupies slot i; the reversed orientation
 //   occupies slot C+i (conflict is invariant under reversing both arcs, so
 //   the mirrored class stays feasible). Shed edges are greedily recolored.
+//   Matching edges share no endpoint, so their arcs conflict only when one's
+//   head is adjacent to the other's tail: the simulation reads a class's
+//   constrained pairs off its endpoints' adjacency rows, once per class
+//   (every shed replays that list), and needs no ConflictIndex.
 #pragma once
 
 #include <cstdint>

@@ -68,6 +68,45 @@ void sweep_same_color_pairs(const ConflictIndex& index,
   }
 }
 
+/// Definition 2 read at the receivers, in O(sum of deg(v)^2) time: at each
+/// node x, the color of every in-arc of x is used by no other arc whose tail
+/// lies in N[x]. Those arcs are x's out-arcs and its neighbors' out-arcs,
+/// among them the other in-arcs of x. Every conflicting pair breaks this at
+/// some head: two arcs into x at x; an arc into x and one out of x at x; two
+/// arcs out of x at either head; a hidden terminal at the head next to the
+/// other arc's tail. Colors key the marks, so the caller bounds `span`.
+bool receivers_clear(const ArcView& view, const ArcColoring& coloring,
+                     std::size_t span) {
+  const Graph& g = view.graph();
+  thread_local EpochMarks heard;
+  heard.reserve(span);
+  for (NodeId x = 0; x < g.num_nodes(); ++x) {
+    heard.begin();
+    bool receives = false;
+    for (const NeighborEntry& entry : g.neighbors(x)) {
+      const Color c = coloring.color(ArcView::reverse(arc_along(x, entry)));
+      if (c == kNoColor) continue;
+      FDLSP_ASSERT(static_cast<std::size_t>(c) < span, "color beyond the span");
+      if (!heard.mark_if_new(static_cast<std::size_t>(c))) return false;
+      receives = true;
+    }
+    if (!receives) continue;
+    const auto clashes = [&](NodeId w) {
+      for (const NeighborEntry& entry : g.neighbors(w)) {
+        if (entry.to == x) continue;  // an in-arc of x, marked above
+        const Color c = coloring.color(arc_along(w, entry));
+        if (c != kNoColor && heard.marked(static_cast<std::size_t>(c)))
+          return true;
+      }
+      return false;
+    };
+    if (clashes(x)) return false;
+    for (const NeighborEntry& entry : g.neighbors(x))
+      if (clashes(entry.to)) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 std::optional<ConflictWitness> find_violation(const ArcView& view,
@@ -85,6 +124,13 @@ std::optional<ConflictWitness> find_violation(const ArcView& view,
     });
     return witness;
   }
+  // A clean node sweep settles the verdict. Otherwise the per-arc scan
+  // names the witness: the first arc a with a same-colored conflicting b > a.
+  // The sweep's marks are keyed by color, so it runs only when the span fits
+  // the arc count (parsed schedules may carry any non-negative int32).
+  const std::size_t span = coloring.color_span();
+  const bool swept = span <= view.num_arcs();
+  if (swept && receivers_clear(view, coloring, span)) return std::nullopt;
   for (ArcId a = 0; a < view.num_arcs(); ++a) {
     const Color c = coloring.color(a);
     if (c == kNoColor) continue;
@@ -96,6 +142,7 @@ std::optional<ConflictWitness> find_violation(const ArcView& view,
     });
     if (witness) return witness;
   }
+  FDLSP_ASSERT(!swept, "the node sweep flagged a conflict-free coloring");
   return std::nullopt;
 }
 

@@ -2,9 +2,12 @@
 //
 // Every entry point takes an optional prebuilt ConflictIndex. With an index
 // the checkers run the palette-bitset sweep (arcs bucketed by color, each
-// color class probed against an arc bitset over deduplicated CSR rows);
-// without one they fall back to on-the-fly conflict enumeration. Both paths
-// agree on verdicts and counts — only the witness pair of find_violation may
+// color class probed against an arc bitset over deduplicated CSR rows).
+// Without one, find_violation first sweeps the nodes: Definition 2 read at
+// each receiver, in O(Σ deg(v)²) time, a factor of Δ below enumerating each
+// arc's conflicts. Only a coloring the sweep flags is enumerated arc by arc,
+// to name the witness; count_violations always enumerates. Both paths agree
+// on verdicts and counts — only the witness pair of find_violation may
 // differ (any same-colored conflicting pair is a valid witness).
 #pragma once
 

@@ -215,12 +215,4 @@ void ConflictIndex::build(const ArcView& view, ThreadPool* pool) {
                });
 }
 
-bool ConflictIndex::conflict(ArcId a, ArcId b) const {
-  FDLSP_REQUIRE(a != b, "conflict is defined on distinct arcs");
-  // Probe the shorter row.
-  if (conflict_degree(a) > conflict_degree(b)) std::swap(a, b);
-  const auto row = conflicts(a);
-  return std::binary_search(row.begin(), row.end(), b);
-}
-
 }  // namespace fdlsp

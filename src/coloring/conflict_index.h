@@ -2,8 +2,8 @@
 // materialized once per graph as a CSR adjacency.
 //
 // Every component of the library — checker, greedy/exact colorers, Lemma-6
-// conflict graph, D-MGC, repair, the ILP builder, the verify oracles —
-// reduces to "which arcs conflict with arc a?". Enumerating that on the fly
+// conflict graph, repair, the ILP builder, the verify oracles — reduces to
+// "which arcs conflict with arc a?". Enumerating that on the fly
 // (conflict.h) visits each conflicting arc several times and pays an
 // alloc + sort + unique per query. The index pays that cost exactly once:
 //
@@ -24,11 +24,15 @@
 // (checker.cpp) is the other index-backed kernel.
 //
 // When to prebuild: any workload that queries conflicts of many arcs on one
-// graph (full colorings, feasibility checks, conflict-graph construction,
-// ILP assembly, the oracle battery). When not to: the distributed
-// algorithms' node programs, whose message-complexity accounting models each
-// node discovering its distance-2 neighborhood over the radio — they keep
-// the on-the-fly enumeration so the round/message counts stay faithful.
+// graph (full colorings, repeated feasibility checks, conflict-graph
+// construction, ILP assembly, the oracle battery). When not to: the
+// distributed algorithms' node programs, whose message-complexity accounting
+// models each node discovering its distance-2 neighborhood over the radio —
+// they keep the on-the-fly enumeration so the round/message counts stay
+// faithful; D-MGC, whose color classes are matchings and so constrain each
+// other only through endpoint adjacency (dmgc.cpp); and a one-off
+// feasibility check, whose unindexed node sweep (checker.cpp) costs
+// O(Σ deg(v)²), a factor of Δ below building the index.
 #pragma once
 
 #include <span>
@@ -90,10 +94,6 @@ class ConflictIndex {
 
   /// Sum of all row sizes = 2 × (edges of the Lemma-6 conflict graph).
   std::size_t total_conflicts() const noexcept { return neighbors_.size(); }
-
-  /// True iff distinct arcs a and b may not share a slot. O(log row).
-  /// Agrees with arcs_conflict() by construction (tests assert it).
-  bool conflict(ArcId a, ArcId b) const;
 
   /// Raw CSR arrays, exposed so tests can assert byte-identical builds.
   const std::vector<std::size_t>& raw_offsets() const noexcept {

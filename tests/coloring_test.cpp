@@ -1,13 +1,23 @@
 // Tests for ArcColoring, the feasibility checker, and greedy coloring.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "coloring/checker.h"
 #include "coloring/conflict.h"
+#include "coloring/conflict_index.h"
 #include "coloring/bounds.h"
 #include "coloring/greedy.h"
 #include "graph/arcs.h"
 #include "graph/generators.h"
+#include "support/alloc_audit.h"
 #include "support/rng.h"
+#include "verify/scenario.h"
 
 namespace fdlsp {
 namespace {
@@ -68,6 +78,149 @@ TEST(Checker, AcceptsPartialNonConflicting) {
   coloring.set(view.find_arc(2, 3), 0);  // compatible (tested in conflict_test)
   EXPECT_FALSE(find_violation(view, coloring).has_value());
   EXPECT_FALSE(is_feasible_schedule(view, coloring));  // incomplete
+}
+
+/// How a conflicting pair (a, b) meets Definition 2; the first that fits.
+enum ConflictKind : std::size_t {
+  kSharedTail,    // tail(a) == tail(b)
+  kSharedHead,    // head(a) == head(b)
+  kHeadIsTail,    // head(a) == tail(b), the reverse arc included
+  kTailIsHead,    // tail(a) == head(b)
+  kHiddenAtHead,  // no shared node; head(a) adjacent to tail(b)
+  kHiddenAtTail,  // no shared node; tail(a) adjacent to head(b)
+  kNumKinds,
+};
+
+ConflictKind conflict_kind(const ArcView& view, ArcId a, ArcId b) {
+  const NodeId ta = view.tail(a), ha = view.head(a);
+  const NodeId tb = view.tail(b), hb = view.head(b);
+  if (ta == tb) return kSharedTail;
+  if (ha == hb) return kSharedHead;
+  if (ha == tb) return kHeadIsTail;
+  if (ta == hb) return kTailIsHead;
+  return view.graph().has_edge(ha, tb) ? kHiddenAtHead : kHiddenAtTail;
+}
+
+/// Both checker paths must agree on `coloring`; when `violated`, both must
+/// report a same-colored conflicting pair.
+void expect_checkers_agree(const ArcView& view, const ConflictIndex& index,
+                           const ArcColoring& coloring, bool violated,
+                           const std::string& what) {
+  const auto plain = find_violation(view, coloring);
+  const auto indexed = find_violation(view, coloring, &index);
+  EXPECT_EQ(plain.has_value(), violated) << what;
+  EXPECT_EQ(indexed.has_value(), violated) << what;
+  EXPECT_EQ(count_violations(view, coloring, &index) > 0, violated) << what;
+  for (const auto& witness : {plain, indexed}) {
+    if (!witness) continue;
+    EXPECT_TRUE(arcs_conflict(view, witness->a, witness->b)) << what;
+    EXPECT_TRUE(coloring.is_colored(witness->a)) << what;
+    EXPECT_EQ(coloring.color(witness->a), coloring.color(witness->b)) << what;
+  }
+}
+
+TEST(Checker, NodeSweepCatchesEachConflictKindAlone) {
+  // Each case starts from a feasible greedy coloring and plants violations
+  // of one conflict kind: arc a takes the color of one conflicting arc b;
+  // or a and b both take a color no other arc holds, so (a, b) is the only
+  // violating pair; and both again with a random half of the other arcs
+  // cleared. The unindexed checker (node sweep, then the per-arc witness
+  // scan) must agree with the indexed one on every case.
+  std::vector<std::pair<std::string, Graph>> instances;
+  for (const GraphFamily family : kAllFamilies)
+    for (const std::size_t n : {8u, 12u, 24u})
+      for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        Scenario scenario;
+        scenario.family = family;
+        scenario.n = n;
+        scenario.density = 0.4;
+        scenario.seed = seed;
+        instances.emplace_back(
+            family_name(family) + " n=" + std::to_string(n) +
+                " seed=" + std::to_string(seed),
+            materialize(scenario));
+      }
+  instances.emplace_back("K6", generate_complete(6));
+
+  std::array<std::size_t, kNumKinds> covered{};
+  Rng rng(17);
+  for (const auto& [name, graph] : instances) {
+    const ArcView view(graph);
+    const ConflictIndex index(view);
+    const ArcColoring feasible = greedy_coloring(view);
+    const auto fresh = static_cast<Color>(feasible.color_span());
+    expect_checkers_agree(view, index, feasible, false, name);
+
+    const auto thin = [&](ArcColoring coloring, ArcId a, ArcId b) {
+      for (ArcId c = 0; c < view.num_arcs(); ++c)
+        if (c != a && c != b && rng.next_bool(0.5)) coloring.clear(c);
+      return coloring;
+    };
+    expect_checkers_agree(view, index, thin(feasible, kNoArc, kNoArc), false,
+                          name + " partial");
+
+    // Six random arcs per instance (every arc of a smaller one).
+    std::vector<ArcId> arcs;
+    for (ArcId a = 0; a < view.num_arcs(); ++a) arcs.push_back(a);
+    rng.shuffle(arcs);
+    arcs.resize(std::min<std::size_t>(arcs.size(), 6));
+
+    for (const ArcId a : arcs) {
+      std::array<std::vector<ArcId>, kNumKinds> by_kind;
+      for (const ArcId b : conflicting_arcs(view, a))
+        by_kind[conflict_kind(view, a, b)].push_back(b);
+      for (std::size_t kind = 0; kind < kNumKinds; ++kind) {
+        if (by_kind[kind].empty()) continue;
+        ++covered[kind];
+        const ArcId b = by_kind[kind][rng.next_index(by_kind[kind].size())];
+        const std::string what = name + " arcs " + std::to_string(a) + "," +
+                                 std::to_string(b) + " kind " +
+                                 std::to_string(kind);
+
+        ArcColoring shared = feasible;
+        shared.set(a, feasible.color(b));
+        expect_checkers_agree(view, index, shared, true, what);
+        expect_checkers_agree(view, index, thin(shared, a, b), true,
+                              what + " partial");
+
+        ArcColoring alone = feasible;
+        alone.set(a, fresh);
+        alone.set(b, fresh);
+        EXPECT_EQ(count_violations(view, alone, &index), 1u) << what;
+        const auto witness = find_violation(view, alone);
+        ASSERT_TRUE(witness.has_value()) << what;
+        EXPECT_EQ(witness->a, std::min(a, b)) << what;
+        EXPECT_EQ(witness->b, std::max(a, b)) << what;
+        expect_checkers_agree(view, index, thin(alone, a, b), true,
+                              what + " alone, partial");
+      }
+    }
+  }
+  for (std::size_t kind = 0; kind < kNumKinds; ++kind)
+    EXPECT_GT(covered[kind], 0u) << "kind " << kind;
+}
+
+TEST(Checker, HugeColorsAllocateNothingColorSized) {
+  // Parsed schedules may carry any non-negative int32 color. The unindexed
+  // checker must not size anything by it: marks keyed by INT32_MAX would
+  // ask for gigabytes.
+  const Graph grid = generate_grid(4, 4);
+  const ArcView view(grid);
+  ArcColoring coloring = greedy_coloring(view);
+  const Color huge = std::numeric_limits<Color>::max();
+  const ArcId a = view.find_arc(5, 6);
+  coloring.set(a, huge);
+  const AllocAuditRegion region;
+  EXPECT_FALSE(find_violation(view, coloring).has_value());
+  EXPECT_TRUE(is_feasible_schedule(view, coloring));
+  const ArcId b = view.find_arc(6, 7);  // shares node 6 with a
+  coloring.set(b, huge);
+  const auto witness = find_violation(view, coloring);
+  ASSERT_TRUE(witness.has_value());
+  EXPECT_EQ(witness->a, std::min(a, b));
+  EXPECT_EQ(witness->b, std::max(a, b));
+  EXPECT_EQ(count_violations(view, coloring), 1u);
+  EXPECT_LT(region.delta().bytes, std::uint64_t{1} << 20);
 }
 
 TEST(Greedy, SingleEdgeUsesTwoSlots) {

@@ -55,8 +55,11 @@ run_sanitizer() {  # $1 = preset name (asan-ubsan | tsan)
   # learned-color regions live; dist_repair_test's pin does the same for
   # repair. async_engine_test drives the asynchronous post path (per-channel
   # FIFO, the non-neighbor rejection, determinism) with its asserts live.
+  # dmgc_test's pin runs D-MGC's class orientation with the range asserts
+  # over its owner and partner arrays live, and coloring_test runs the
+  # unindexed checker's node sweep with the asserts over its marks live.
   ctest --test-dir "build-${preset}" \
-    -R '^(engine_alloc_test|repair_test|dist_repair_test|sync_engine_test|dist_mis_test|dfs_schedule_test|async_engine_test)$' \
+    -R '^(engine_alloc_test|repair_test|dist_repair_test|sync_engine_test|dist_mis_test|dfs_schedule_test|async_engine_test|dmgc_test|coloring_test)$' \
     --output-on-failure
 }
 
