@@ -5,10 +5,12 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "algos/scheduler.h"
+#include "fnv64.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "sim/fault.h"
@@ -192,6 +194,51 @@ TEST(FaultPlanTest, BurstStateIsSharedAcrossEdgeDirections) {
   EXPECT_EQ(plan.channel_action(0, 1, 2.0), FaultAction::kDeliver);
   EXPECT_EQ(plan.channel_action(1, 1, 2.0), FaultAction::kDeliver);
   EXPECT_EQ(plan.stats().burst_dropped, 2u);
+}
+
+// Pins every burst decision of fresh plans over a grid of chain parameters:
+// an FNV hash of each channel_action result and of the final FaultStats.
+// The queries alternate both channels of edge 0 and repeat steps, take
+// fractional times and skip 1, 97 and 5,000 steps at once. Constants were
+// computed before the chain walk was rewritten; a change to how the chain
+// is walked must leave them as they are.
+TEST(FaultPlanTest, BurstDecisionsArePinned) {
+  const Graph graph = test_graph();
+  const double gaps[] = {0.0, 0.25, 0.5, 1.0, 0.0, 97.0,
+                         1.0, 0.75, 5000.0, 1.0, 0.0, 2.5};
+  Fnv64 hash;
+  std::uint64_t burst_drops = 0;
+  for (const double bp : {0.02, 0.2, 1.0})
+    for (const double bq : {0.0, 0.5, 1.0})
+      for (const std::uint64_t bmax : {1u, 8u})
+        for (const std::uint64_t bcap : {1u, 8u, 1'000'000u})
+          for (const double bloss : {0.5, 1.0}) {
+            FaultSpec spec;
+            spec.seed = 29;
+            spec.burst_rate = bp;
+            spec.burst_recover = bq;
+            spec.burst_max_run = bmax;
+            spec.burst_cap = bcap;
+            spec.burst_loss = bloss;
+            FaultPlan plan(spec, graph);
+            std::uint64_t index[2] = {0, 0};
+            double now = 0.0;
+            for (std::size_t q = 0; q < 240; ++q) {
+              now += gaps[q % std::size(gaps)];
+              const ArcId channel = q % 2;
+              hash.add(static_cast<std::uint64_t>(
+                  plan.channel_action(channel, index[channel]++, now)));
+            }
+            const FaultStats& stats = plan.stats();
+            for (const std::uint64_t count :
+                 {stats.dropped, stats.duplicated, stats.corrupted,
+                  stats.burst_dropped, stats.prr_dropped, stats.region_drops,
+                  stats.link_down_drops, stats.crash_drops})
+              hash.add(count);
+            burst_drops += stats.burst_dropped;
+          }
+  EXPECT_EQ(burst_drops, 2207u);
+  EXPECT_EQ(hash.value(), 0x6e7f6240d8c7ea49ULL);
 }
 
 TEST(FaultPlanTest, PrrDropsShareTheChannelLossCap) {
