@@ -1,5 +1,6 @@
 #include "sim/fault.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -24,13 +25,37 @@ constexpr std::uint64_t kStreamPrrLoss = 0x88;
 constexpr std::uint64_t kStreamRegion = 0x99;
 constexpr std::uint64_t kStreamVirtualPos = 0xaa;
 
+/// One (seed, stream) hash stream: index -> 64 uniform bits. The half that
+/// depends only on the stream is mixed once, at construction, so a walk
+/// over many indices pays one splitmix64 per index.
+class FaultStream {
+ public:
+  static constexpr std::uint64_t kIndexMul = 0xbf58476d1ce4e5b9ULL;
+
+  FaultStream(std::uint64_t seed, std::uint64_t stream)
+      : state_(seed ^ (stream * 0x9e3779b97f4a7c15ULL)),
+        salt_(splitmix64(state_)) {}
+
+  std::uint64_t operator()(std::uint64_t index) const noexcept {
+    return at_product(index * kIndexMul);
+  }
+
+  /// The hash of the index whose product with kIndexMul is `product`, so
+  /// a scan can step the product instead of multiplying per index.
+  std::uint64_t at_product(std::uint64_t product) const noexcept {
+    std::uint64_t s = state_ ^ product;
+    return splitmix64(s) ^ salt_;
+  }
+
+ private:
+  std::uint64_t state_;  // seed ^ stream mix, advanced past the salt draw
+  std::uint64_t salt_;
+};
+
 /// Stateless mix of (seed, stream, index) -> 64 uniform bits.
 std::uint64_t fault_hash(std::uint64_t seed, std::uint64_t stream,
                          std::uint64_t index) {
-  std::uint64_t s = seed ^ (stream * 0x9e3779b97f4a7c15ULL);
-  const std::uint64_t a = splitmix64(s);
-  s ^= index * 0xbf58476d1ce4e5b9ULL;
-  return splitmix64(s) ^ a;
+  return FaultStream(seed, stream)(index);
 }
 
 /// The hash mapped into [0, 1).
@@ -39,6 +64,21 @@ double unit_interval(std::uint64_t h) {
 }
 
 }  // namespace
+
+/// unit_interval(h) < rate compares (h >> 11) * 2^-53 with rate, both exact,
+/// so it holds iff h >> 11 < ceil(rate * 2^53), i.e. iff h is below that
+/// bound shifted back by 11 bits. A rate below 1 has a bound under 2^53,
+/// so the shift cannot overflow; rates at or past 1 pass everything and
+/// rates at or below 0 nothing.
+FaultPlan::HashCut FaultPlan::HashCut::of(double rate) {
+  HashCut cut;
+  if (rate >= 1.0) {
+    cut.all = true;
+  } else if (rate > 0.0) {
+    cut.below = static_cast<std::uint64_t>(std::ceil(rate * 0x1.0p53)) << 11;
+  }
+  return cut;
+}
 
 FaultPlan::FaultPlan(const FaultSpec& spec, const Graph& graph,
                      const std::vector<Point>* positions)
@@ -86,6 +126,8 @@ FaultPlan::FaultPlan(const FaultSpec& spec, const Graph& graph,
     burst_step_.assign(graph.num_edges(), -1);
     burst_run_.assign(graph.num_edges(), 0);
     burst_drops_.assign(graph.num_edges(), 0);
+    burst_onset_ = HashCut::of(spec_.burst_rate);
+    burst_recover_ = HashCut::of(spec_.burst_recover);
   }
   if (!spec_.prr_levels.empty()) {
     prr_level_.resize(graph.num_edges());
@@ -135,26 +177,45 @@ FaultPlan::FaultPlan(const FaultSpec& spec, const Graph& graph,
 bool FaultPlan::burst_bad(EdgeId edge, double now) {
   if (burst_drops_[edge] >= spec_.burst_cap) return false;  // pinned good
   const auto step = static_cast<std::int64_t>(now);
-  // Engines query with nondecreasing `now`; a same-step query replays the
+  std::int64_t s = burst_step_[edge];
+  bool bad = burst_state_[edge] != 0;
+  // Engines query with nondecreasing `now`; a same-step query returns the
   // already-advanced state without touching the hash stream again.
-  const std::uint64_t stream =
-      kStreamBurst + (static_cast<std::uint64_t>(edge) << 8);
-  for (std::int64_t s = burst_step_[edge] + 1; s <= step; ++s) {
-    const double u = unit_interval(
-        fault_hash(spec_.seed, stream, static_cast<std::uint64_t>(s)));
-    if (burst_state_[edge] == 0) {
-      if (u < spec_.burst_rate) {
-        burst_state_[edge] = 1;
-        burst_run_[edge] = 0;
-      }
+  if (step <= s) return bad;
+  std::uint32_t run = burst_run_[edge];
+  const FaultStream stream(
+      spec_.seed, kStreamBurst + (static_cast<std::uint64_t>(edge) << 8));
+  while (s < step) {
+    if (bad) {
+      ++s;
+      ++run;
+      if (run >= spec_.burst_max_run ||
+          burst_recover_.passes(stream(static_cast<std::uint64_t>(s))))
+        bad = false;
+    } else if (burst_onset_.all) {
+      ++s;
+      bad = true;
+      run = 0;
     } else {
-      ++burst_run_[edge];
-      if (u < spec_.burst_recover || burst_run_[edge] >= spec_.burst_max_run)
-        burst_state_[edge] = 0;
+      // Good steps only test for the onset: one hash and one compare per
+      // step, the index product stepped instead of recomputed.
+      std::uint64_t product =
+          static_cast<std::uint64_t>(s + 1) * FaultStream::kIndexMul;
+      while (s < step) {
+        ++s;
+        if (stream.at_product(product) < burst_onset_.below) {
+          bad = true;
+          run = 0;
+          break;
+        }
+        product += FaultStream::kIndexMul;
+      }
     }
   }
-  if (step > burst_step_[edge]) burst_step_[edge] = step;
-  return burst_state_[edge] != 0;
+  burst_step_[edge] = step;
+  burst_state_[edge] = bad ? 1 : 0;
+  burst_run_[edge] = run;
+  return bad;
 }
 
 // fdlsp-lint: hot — per-message fault decision, no allocator traffic
