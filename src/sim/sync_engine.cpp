@@ -19,15 +19,25 @@
 namespace fdlsp {
 
 // fdlsp-lint: hot — per-message steady-state path, no allocator traffic
-void SyncContext::send(NodeId to, Message message) {
-  message.from = self_;
+template <typename M>
+void SyncContext::send_to(NodeId to, M&& message) {
   if (capture_ != nullptr) {  // the capture layer validates its own sends
     (*capture_)(to, message);
     return;
   }
   const NeighborEntry* entry = find_neighbor(neighbors_, to);
   FDLSP_REQUIRE(entry != nullptr, "nodes may only message direct neighbors");
-  post(*entry, std::move(message));
+  post(*entry, std::forward<M>(message));
+}
+
+// fdlsp-lint: hot — per-message steady-state path, no allocator traffic
+void SyncContext::send(NodeId to, Message&& message) {
+  send_to(to, std::move(message));
+}
+
+// fdlsp-lint: hot — per-message steady-state path, no allocator traffic
+void SyncContext::send(NodeId to, const Message& message) {
+  send_to(to, message);
 }
 
 // fdlsp-lint: hot — per-message steady-state path, no allocator traffic
@@ -178,6 +188,11 @@ void set_bit(std::vector<std::uint64_t>& bits, NodeId v) noexcept {
 
 void clear_bit(std::vector<std::uint64_t>& bits, NodeId v) noexcept {
   bits[v / kWordBits] &= ~(std::uint64_t{1} << (v % kWordBits));
+}
+
+bool any_bit(const std::vector<std::uint64_t>& bits) noexcept {
+  return std::any_of(bits.begin(), bits.end(),
+                     [](std::uint64_t word) { return word != 0; });
 }
 
 /// Visits the set bits of `bitmap` in [lo, hi), ascending. Each word is
@@ -609,6 +624,25 @@ SyncMetrics SyncEngine::run(std::size_t max_rounds) {
     apply_settled();
     if (alloc_audit_ != nullptr) alloc_audit_->end_round();
     ++metrics.rounds;
+
+    // Idle rounds: with no mail in flight, no runnable node and no phase
+    // advance due, nothing can happen before the next calendar wake or
+    // crash round — no callback, post, fault decision or vote change — so
+    // the counter jumps there. A stale calendar front costs one empty
+    // round. An audit still sees one (empty) bracket per round.
+    if (pending_messages_ == 0 && total.ready != all &&
+        !any_bit(runnable_)) {
+      std::size_t next = max_rounds;
+      if (!calendar_.empty()) next = std::min(next, calendar_.front().round);
+      if (next_crash < crashes.size())
+        next = std::min(next, crashes[next_crash].first);
+      for (; alloc_audit_ != nullptr && metrics.rounds < next;
+           ++metrics.rounds) {
+        alloc_audit_->begin_round();
+        alloc_audit_->end_round();
+      }
+      metrics.rounds = std::max(metrics.rounds, next);
+    }
   }
 
   metrics.messages = total_messages_;

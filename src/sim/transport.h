@@ -225,6 +225,18 @@ class TransportPeer {
   std::vector<PendingFrame> parked_;
 };
 
+/// A buffer for the next outbound frame: a recycled one from `pool` (which
+/// TransportPeer::ack refills with acked frames) when there is one, so its
+/// spilled capacity is reused, otherwise a fresh one. Once every channel
+/// has seen its largest frame, framing allocates nothing.
+// fdlsp-lint: hot — per-frame steady-state path, no allocator traffic
+inline Message take_frame(std::vector<Message>& pool) {
+  if (pool.empty()) return Message{};
+  Message frame = std::move(pool.back());
+  pool.pop_back();
+  return frame;
+}
+
 /// Finds `peer` in a table of TransportPeer-derived states sorted by peer
 /// id, inserting a fresh state on first contact. Insertion invalidates
 /// references into the table.

@@ -23,7 +23,10 @@
 // DFS is held to a per-message bound instead of a tail: its replies carry
 // whole color lists, and each one is built once into the message's own
 // payload and moved into the engine, so allocations scale with the
-// replies, not with the events that only forward or count.
+// replies, not with the events that only forward or count. DistMIS
+// hardened with the synchronous reliable wrapper is held to a per-message
+// bound too: its frames, retransmissions and unframed messages circulate
+// through recycled buffers.
 //
 // Under sanitizers the counting operator new hooks are compiled out
 // (support/alloc_audit.h) and the whole suite skips.
@@ -39,6 +42,7 @@
 #include "graph/algorithms.h"
 #include "graph/generators.h"
 #include "sim/async_engine.h"
+#include "sim/fault.h"
 #include "sim/sync_engine.h"
 #include "support/alloc_audit.h"
 #include "support/rng.h"
@@ -256,6 +260,42 @@ TEST(EngineAllocProfile, ReliableAsyncDistMisKeepsZeroAllocTail) {
   if (!alloc_audit_enabled())
     GTEST_SKIP() << "allocation hooks compiled out (sanitizer build)";
   assert_async_steady_state_profile(paper_udg(300), /*reliable=*/true);
+}
+
+TEST(EngineAllocProfile, ReliableSyncDistMisAllocatesRarely) {
+  // DistMIS hardened with the synchronous reliable wrapper under bursty
+  // loss: every inner message is framed, acked and possibly retransmitted
+  // over dilated windows. Frames come from a per-shard pool that acks
+  // refill, are sent and retransmitted from the pending list by the kept
+  // send (copy-assigned into recycled inbox slots), and unframe into
+  // recycled per-peer slots, so allocations track warm-up, not traffic.
+  // Measured profile at the time of writing: 39,221 allocations over the
+  // whole run against 210,083 messages and 35,967 outer rounds (0.19 per
+  // message), against 1.31 per message when every frame, retransmission
+  // and unframed message took a fresh buffer. The bound, a quarter per
+  // message, leaves room for library drift and sits under a fifth of the
+  // old rate.
+  if (!alloc_audit_enabled())
+    GTEST_SKIP() << "allocation hooks compiled out (sanitizer build)";
+  const Graph graph = paper_udg(300);
+  const FaultSpec spec = parse_fault_spec("drop=0.05,bp=0.2,fseed=7");
+  AllocAudit audit;
+  DistMisOptions options;
+  options.variant = DistMisVariant::kGbg;
+  options.seed = 42;
+  options.faults = &spec;
+  options.reliable = true;
+  options.audit = &audit;
+  AllocAuditRegion region;
+  const ScheduleResult result = run_dist_mis(graph, options);
+  const AllocCounts delta = region.delta();
+
+  ASSERT_TRUE(result.completed);
+  EXPECT_GT(result.num_slots, 0U);
+  // Skipped idle rounds are still bracketed, one empty bracket each.
+  ASSERT_EQ(audit.rounds(), result.rounds);
+  ASSERT_GT(result.messages, 100'000U) << "fixture too small to measure";
+  EXPECT_LT(delta.allocations, result.messages / 4);
 }
 
 TEST(EngineAllocProfile, AsyncDfsAllocatesWellUnderOncePerMessage) {
