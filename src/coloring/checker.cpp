@@ -1,5 +1,6 @@
 #include "coloring/checker.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -17,23 +18,67 @@ namespace {
 struct SweepScratch {
   std::vector<std::size_t> offsets;  // colored arcs bucketed by color (CSR)
   std::vector<std::size_t> cursor;
+  std::vector<std::uint64_t> keys;  // (color, arc) pairs, wide palettes
   std::vector<ArcId> members;
   std::vector<std::uint64_t> bits;  // one bit per arc
 };
 
-/// Palette-bitset sweep over a prebuilt index: colored arcs are bucketed by
-/// color (counting sort, so members stay in ascending arc order), then each
-/// color class is marked in an arc bitset and every member's CSR row is
-/// probed against it. Rows are deduplicated, and a same-colored conflicting
-/// pair (a, b) with a < b is seen exactly once — from a's row — so no
-/// per-arc dedup is needed. Invokes on_pair(a, b) per pair; a false return
-/// stops the sweep.
+/// Palette-bitset sweep over a prebuilt index: colored arcs are grouped by
+/// color, members of a class in ascending arc order, then each color class
+/// is marked in an arc bitset and every member's CSR row is probed against
+/// it. Classes are visited in ascending color order. Grouping is a counting
+/// sort over the color span while the span fits the arc count, and a sort
+/// of (color, arc) pairs beyond it, so no array is ever sized by a color
+/// (parsed schedules may carry any non-negative int32). Rows are
+/// deduplicated, and a same-colored conflicting pair (a, b) with a < b is
+/// seen exactly once — from a's row — so no per-arc dedup is needed.
+/// Invokes on_pair(a, b) per pair; a false return stops the sweep.
 template <typename OnPair>
 void sweep_same_color_pairs(const ConflictIndex& index,
                             const ArcColoring& coloring, OnPair on_pair) {
   const std::size_t n = index.num_arcs();
   const std::size_t palette = coloring.color_span();
   thread_local SweepScratch s;
+
+  s.bits.assign((n + 63) / 64, 0);
+  const auto bit_test = [&](ArcId b) {
+    return (s.bits[b >> 6] >> (b & 63)) & 1u;
+  };
+  // Probes one class, members [begin, end); false once on_pair stopped.
+  const auto sweep_class = [&](std::size_t begin, std::size_t end) {
+    if (end - begin < 2) return true;  // a singleton class cannot clash
+    for (std::size_t k = begin; k < end; ++k)
+      s.bits[s.members[k] >> 6] |= std::uint64_t{1} << (s.members[k] & 63);
+    for (std::size_t k = begin; k < end; ++k) {
+      const ArcId a = s.members[k];
+      for (const ArcId b : index.conflicts(a))
+        if (b > a && bit_test(b) && !on_pair(a, b)) return false;
+    }
+    for (std::size_t k = begin; k < end; ++k)
+      s.bits[s.members[k] >> 6] &= ~(std::uint64_t{1} << (s.members[k] & 63));
+    return true;
+  };
+
+  if (palette > n) {
+    s.keys.clear();
+    for (ArcId a = 0; a < n; ++a) {
+      const Color c = coloring.color(a);
+      if (c != kNoColor)
+        s.keys.push_back((static_cast<std::uint64_t>(c) << 32) | a);
+    }
+    std::sort(s.keys.begin(), s.keys.end());
+    s.members.resize(s.keys.size());
+    for (std::size_t k = 0; k < s.keys.size(); ++k)
+      s.members[k] = static_cast<ArcId>(s.keys[k] & 0xffffffffU);
+    for (std::size_t begin = 0; begin < s.keys.size();) {
+      const std::uint64_t color = s.keys[begin] >> 32;
+      std::size_t end = begin + 1;
+      while (end < s.keys.size() && (s.keys[end] >> 32) == color) ++end;
+      if (!sweep_class(begin, end)) return;
+      begin = end;
+    }
+    return;
+  }
 
   s.offsets.assign(palette + 1, 0);
   for (ArcId a = 0; a < n; ++a) {
@@ -47,25 +92,8 @@ void sweep_same_color_pairs(const ConflictIndex& index,
     const Color c = coloring.color(a);
     if (c != kNoColor) s.members[s.cursor[static_cast<std::size_t>(c)]++] = a;
   }
-
-  s.bits.assign((n + 63) / 64, 0);
-  const auto bit_test = [&](ArcId b) {
-    return (s.bits[b >> 6] >> (b & 63)) & 1u;
-  };
-  for (std::size_t j = 0; j < palette; ++j) {
-    const std::size_t begin = s.offsets[j];
-    const std::size_t end = s.offsets[j + 1];
-    if (end - begin < 2) continue;  // a singleton class cannot clash
-    for (std::size_t k = begin; k < end; ++k)
-      s.bits[s.members[k] >> 6] |= std::uint64_t{1} << (s.members[k] & 63);
-    for (std::size_t k = begin; k < end; ++k) {
-      const ArcId a = s.members[k];
-      for (const ArcId b : index.conflicts(a))
-        if (b > a && bit_test(b) && !on_pair(a, b)) return;
-    }
-    for (std::size_t k = begin; k < end; ++k)
-      s.bits[s.members[k] >> 6] &= ~(std::uint64_t{1} << (s.members[k] & 63));
-  }
+  for (std::size_t j = 0; j < palette; ++j)
+    if (!sweep_class(s.offsets[j], s.offsets[j + 1])) return;
 }
 
 /// Definition 2 read at the receivers, in O(sum of deg(v)^2) time: at each

@@ -201,26 +201,83 @@ TEST(Checker, NodeSweepCatchesEachConflictKindAlone) {
 }
 
 TEST(Checker, HugeColorsAllocateNothingColorSized) {
-  // Parsed schedules may carry any non-negative int32 color. The unindexed
-  // checker must not size anything by it: marks keyed by INT32_MAX would
-  // ask for gigabytes.
+  // Parsed schedules may carry any non-negative int32 color. Neither
+  // checker may size anything by it: marks or buckets keyed by INT32_MAX
+  // would ask for gigabytes.
   const Graph grid = generate_grid(4, 4);
   const ArcView view(grid);
+  const ConflictIndex index(view);
   ArcColoring coloring = greedy_coloring(view);
   const Color huge = std::numeric_limits<Color>::max();
   const ArcId a = view.find_arc(5, 6);
   coloring.set(a, huge);
   const AllocAuditRegion region;
   EXPECT_FALSE(find_violation(view, coloring).has_value());
+  EXPECT_FALSE(find_violation(view, coloring, &index).has_value());
   EXPECT_TRUE(is_feasible_schedule(view, coloring));
+  EXPECT_EQ(count_violations(view, coloring, &index), 0u);
   const ArcId b = view.find_arc(6, 7);  // shares node 6 with a
   coloring.set(b, huge);
-  const auto witness = find_violation(view, coloring);
-  ASSERT_TRUE(witness.has_value());
-  EXPECT_EQ(witness->a, std::min(a, b));
-  EXPECT_EQ(witness->b, std::max(a, b));
-  EXPECT_EQ(count_violations(view, coloring), 1u);
+  const ConflictIndex* const checkers[] = {nullptr, &index};
+  for (const ConflictIndex* checked : checkers) {
+    const auto witness = find_violation(view, coloring, checked);
+    ASSERT_TRUE(witness.has_value());
+    EXPECT_EQ(witness->a, std::min(a, b));
+    EXPECT_EQ(witness->b, std::max(a, b));
+    EXPECT_EQ(count_violations(view, coloring, checked), 1u);
+  }
   EXPECT_LT(region.delta().bytes, std::uint64_t{1} << 20);
+}
+
+TEST(Checker, WidePaletteKeepsWitnessOrderAndCounts) {
+  // Past the arc count the indexed checker groups classes by sorting
+  // (color, arc) pairs instead of bucketing by color: classes still come in
+  // ascending color order with members in ascending arc order, so it names
+  // the same witness and counts the same pairs as with a narrow palette.
+  Rng rng(23);
+  const Graph graph = generate_gnm(30, 70, rng);
+  const ArcView view(graph);
+  const ConflictIndex index(view);
+  ArcColoring narrow(view.num_arcs());
+  ArcColoring wide(view.num_arcs());
+  const Color stretch = std::numeric_limits<Color>::max() / 8;
+  for (ArcId arc = 0; arc < view.num_arcs(); ++arc) {
+    const auto c = static_cast<Color>(rng.next_below(6));
+    narrow.set(arc, c);
+    wide.set(arc, c * stretch);  // same classes, same color order
+  }
+  ASSERT_GT(wide.color_span(), view.num_arcs());
+  const auto narrow_witness = find_violation(view, narrow, &index);
+  const auto wide_witness = find_violation(view, wide, &index);
+  ASSERT_TRUE(narrow_witness.has_value());
+  ASSERT_TRUE(wide_witness.has_value());
+  EXPECT_EQ(wide_witness->a, narrow_witness->a);
+  EXPECT_EQ(wide_witness->b, narrow_witness->b);
+  EXPECT_EQ(count_violations(view, wide, &index),
+            count_violations(view, narrow, &index));
+  EXPECT_EQ(count_violations(view, wide, &index),
+            count_violations(view, wide));
+}
+
+TEST(ArcColoring, HugeColorCountsWithoutColorSizedMemory) {
+  // A parsed schedule may carry INT32_MAX; counting its distinct colors
+  // must not allocate a bitmap of that many bits.
+  const Graph grid = generate_grid(4, 4);
+  const ArcView view(grid);
+  ArcColoring coloring = greedy_coloring(view);
+  const std::size_t used = coloring.num_colors_used();
+  coloring.set(view.find_arc(5, 6), std::numeric_limits<Color>::max());
+  const AllocAuditRegion region;
+  const std::size_t counted = coloring.num_colors_used();
+  EXPECT_LT(region.delta().bytes, std::uint64_t{1} << 20);
+  // Arc 5->6 either kept its old color on another arc (one new color) or
+  // held the only arc of its color (the count stays).
+  EXPECT_TRUE(counted == used + 1 || counted == used) << counted;
+  std::vector<Color> distinct = coloring.raw();
+  std::sort(distinct.begin(), distinct.end());
+  EXPECT_EQ(counted, static_cast<std::size_t>(
+                         std::unique(distinct.begin(), distinct.end()) -
+                         distinct.begin()));
 }
 
 TEST(Greedy, SingleEdgeUsesTwoSlots) {
